@@ -42,12 +42,5 @@ pub use frame::{encode_frame, read_frame, write_frame, FrameError, FrameReader, 
 pub use message::{Message, ProtocolError, PROTOCOL_VERSION};
 pub use proxy::{FaultProxy, ProxyOptions};
 
-/// SplitMix64 finalizer — the same constants as the supervisor's and the
-/// fault plan's mixers, so the whole fleet shares one notion of
-/// "decorrelate this key".
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// The workspace's one SplitMix64 mixer (see [`resilience::splitmix64`]).
+pub(crate) use resilience::splitmix64;

@@ -121,12 +121,6 @@ impl fmt::Display for CheckpointError {
 
 impl Error for CheckpointError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
-/// Same checksum the obs flight recorder seals its dumps with.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    obs::crc32(bytes)
-}
-
 /// Encodes an `f64` as the 16-digit lowercase hex of its IEEE-754 bits —
 /// the bit-exact interchange form used in checkpoint payloads.
 pub fn f64_to_hex(v: f64) -> String {
@@ -239,7 +233,7 @@ impl Checkpoint {
             body.push_str(&record.to_string());
             body.push('\n');
         }
-        let crc = crc32(body.as_bytes());
+        let crc = obs::crc32(body.as_bytes());
         let mut trailer = BTreeMap::new();
         trailer.insert("crc32".to_string(), JsonValue::Number(crc as f64));
         body.push_str(&JsonValue::Object(trailer).to_string());
@@ -268,7 +262,7 @@ impl Checkpoint {
             .and_then(JsonValue::as_u64)
             .and_then(|v| u32::try_from(v).ok())
             .ok_or(CheckpointError::Truncated)?;
-        let actual = crc32(body.as_bytes());
+        let actual = obs::crc32(body.as_bytes());
         if actual != expected {
             return Err(CheckpointError::ChecksumMismatch { expected, actual });
         }
@@ -398,12 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
     fn f64_hex_round_trips_extremes() {
         for v in [
             0.0,
@@ -455,7 +443,7 @@ mod tests {
         let stripped = bumped.strip_suffix('\n').unwrap();
         let trailer_start = stripped.rfind('\n').unwrap() + 1;
         let body = &bumped[..trailer_start];
-        format!("{body}{{\"crc32\":{}}}\n", crc32(body.as_bytes())).into_bytes()
+        format!("{body}{{\"crc32\":{}}}\n", obs::crc32(body.as_bytes())).into_bytes()
     }
 
     #[test]

@@ -112,6 +112,12 @@ impl DegradationPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Serializes the tests that downgrade: a concurrent downgrade would
+    /// bump the process-global `degrade.steps` counter that
+    /// `downgrades_are_counted_in_obs` reads.
+    static DOWNGRADES: Mutex<()> = Mutex::new(());
 
     fn policy() -> DegradationPolicy {
         DegradationPolicy::new(
@@ -137,6 +143,7 @@ mod tests {
 
     #[test]
     fn budget_below_threshold_steps_down_the_ladder() {
+        let _gate = DOWNGRADES.lock().unwrap_or_else(|e| e.into_inner());
         let b = Budget::max_ticks(10);
         for _ in 0..6 {
             b.tick();
@@ -152,6 +159,7 @@ mod tests {
 
     #[test]
     fn downgrades_are_counted_in_obs() {
+        let _gate = DOWNGRADES.lock().unwrap_or_else(|e| e.into_inner());
         obs::reset();
         obs::enable();
         let b = Budget::max_ticks(10);

@@ -166,8 +166,10 @@ pub struct FaultPlan {
 }
 
 /// SplitMix64 finalizer: a high-quality 64-bit mix, enough to decorrelate
-/// the (seed, site, visit) key without carrying RNG state.
-fn splitmix64(mut x: u64) -> u64 {
+/// the (seed, site, visit) key without carrying RNG state. The one mixer
+/// every crate derives job, attempt, victim and request seeds with.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

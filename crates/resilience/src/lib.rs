@@ -15,21 +15,22 @@
 //! | non-tree coupling graph | `CompileError::NotATree` | degrade MtR → SABRE |
 //! | NaN objective / stall | `OptimizeError` / unconverged | restart from perturbed parameters |
 //!
-//! The [`chaos`] harness runs the whole pipeline under a seeded fault
-//! plan and checks every injected fault was recovered — the `pcd chaos`
-//! subcommand is a thin CLI over it. All retries, fallbacks, and
-//! injections are counted in obs (`resilience.retries`,
-//! `resilience.fallbacks`, `resilience.faults_injected`) and emitted as
-//! events, so a trace shows the full fault/recovery story.
+//! The [`chaos`] module holds the one seeded campaign runner behind every
+//! `pcd chaos` mode, plus the pipeline and kill-resume drivers; a
+//! pipeline campaign checks every injected fault was recovered. All
+//! retries, fallbacks, and injections are counted in obs
+//! (`resilience.retries`, `resilience.fallbacks`,
+//! `resilience.faults_injected`) and emitted as events, so a trace shows
+//! the full fault/recovery story.
 //!
 //! ```
-//! use resilience::{run_chaos, ChaosOptions};
+//! use resilience::chaos::{Campaign, PipelineChaos};
 //!
-//! let report = run_chaos(&ChaosOptions {
+//! let driver = PipelineChaos {
 //!     fault_rate: 1.0,
-//!     trials: 1,
 //!     ..Default::default()
-//! });
+//! };
+//! let report = Campaign::new("doc", 42, 1).run(|trial, seed, _| driver.trial(trial, seed));
 //! assert!(report.survived());
 //! assert!(report.all_policy_classes_recovered());
 //! ```
@@ -44,15 +45,14 @@ pub mod error;
 pub mod fault;
 pub mod recover;
 
-pub use chaos::{run_chaos, ChaosOptions, ChaosReport, TrialOutcome};
-pub use checkpoint::{crc32, f64_from_hex, f64_to_hex, Checkpoint, CheckpointError};
+pub use checkpoint::{f64_from_hex, f64_to_hex, Checkpoint, CheckpointError};
 pub use codec::{
     decode_scf, decode_vqe, decode_vqe_result, decode_yield, encode_scf, encode_vqe,
     encode_vqe_result, encode_yield, KIND_SCF, KIND_VQE, KIND_VQE_RESULT, KIND_YIELD,
 };
 pub use degrade::{DegradationLadder, DegradationPolicy};
 pub use error::PcdError;
-pub use fault::{FaultKind, FaultPlan, InjectedFault};
+pub use fault::{splitmix64, FaultKind, FaultPlan, InjectedFault};
 pub use recover::{
     build_system_with_ladder, build_system_with_recovery, compile_with_fallback,
     run_vqe_with_restart, scf_ladder, CompileStrategy,

@@ -58,7 +58,7 @@ fn version_bump_is_a_version_mismatch() {
     );
     assert_ne!(bumped, text, "version field must be present to bump");
     let body_end = bumped.trim_end_matches('\n').rfind('\n').unwrap() + 1;
-    let crc = resilience::crc32(&bumped.as_bytes()[..body_end]);
+    let crc = obs::crc32(&bumped.as_bytes()[..body_end]);
     let resealed = format!("{}{{\"crc32\":{crc}}}\n", &bumped[..body_end]);
     match Checkpoint::from_bytes(resealed.as_bytes()) {
         Err(CheckpointError::VersionMismatch { expected, found }) => {

@@ -1,26 +1,25 @@
-//! The serve chaos campaign behind `pcd chaos --serve`.
+//! The serve campaign's driver behind `pcd chaos --serve`, run by
+//! [`resilience::chaos::Campaign`]. Two kinds of trial, both seeded and
+//! replayable:
 //!
-//! Two layers, both seeded and replayable:
+//! - **Storm trials** ([`ServeChaos::storm_trial`]) run a real daemon on
+//!   a scratch socket and throw a seeded storm at it: normal requests,
+//!   clients that vanish after sending, and cache entries corrupted on
+//!   disk between requests — all under the configured fault rate, so the
+//!   `Accept` and `CacheWrite` injection sites fire too. Every `done`
+//!   response is compared bit-for-bit against an in-process reference
+//!   computed through the same content-keyed engine path.
+//! - **The restart trial** ([`ServeChaos::restart_trial`]) exercises what
+//!   only a real `pcd serve` process can: a burst of requests, then
+//!   SIGTERM once the burst is journaled — the daemon must exit 30 with
+//!   a sealed manifest — then a restart that resumes any pending tail,
+//!   serves repeats from the cache (no SCF, no VQE in the response
+//!   trace), survives an on-disk cache corruption, and finally drains;
+//!   the sealed manifest's records must match the reference
+//!   bit-for-bit, which is the zero-downtime-restart contract.
 //!
-//! - **In-process trials** run a real daemon on a scratch socket and
-//!   throw a seeded storm at it: normal requests, clients that vanish
-//!   after sending, and cache entries corrupted on disk between
-//!   requests — all under the configured fault rate, so the `Accept`
-//!   and `CacheWrite` injection sites fire too. Every `done` response is
-//!   compared bit-for-bit against an in-process reference computed
-//!   through the same content-keyed engine path.
-//! - **A subprocess phase** (when the `pcd` binary path is provided)
-//!   exercises what only a real process can: a burst of requests, then
-//!   SIGTERM mid-compute — the daemon must exit 30 with a sealed
-//!   manifest — then a restart that resumes the pending tail, serves
-//!   repeats from the cache (no SCF, no VQE in the response trace),
-//!   survives an on-disk cache corruption, and finally drains; the
-//!   sealed manifest's records must match the reference bit-for-bit,
-//!   which is the zero-downtime-restart contract.
-//!
-//! The campaign never panics on a misbehaving daemon: every broken
-//! promise is a line in [`ServeChaosReport::violations`], and an empty
-//! list is the pass criterion.
+//! A trial never panics on a misbehaving daemon: every broken promise
+//! is a violation in its [`Outcome`].
 
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
@@ -31,8 +30,9 @@ use std::time::{Duration, Instant};
 
 use chem::Benchmark;
 use obs::json::{self, JsonValue};
+use resilience::chaos::Outcome;
 use resilience::Checkpoint;
-use supervisor::{decode_manifest, JobSpec, JobState, KIND_BATCH_MANIFEST};
+use supervisor::{decode_manifest, BatchMeta, JobRecord, JobSpec, JobState, KIND_BATCH_MANIFEST};
 
 use crate::cache::{cache_key, CACHE_EXT};
 use crate::daemon::{compute_record, run_serve, ServeConfig, KIND_SERVE_MANIFEST};
@@ -57,106 +57,28 @@ const RESPONSE_WAIT: Duration = Duration::from_secs(60);
 /// How long to wait for a subprocess daemon to exit after SIGTERM.
 const EXIT_WAIT: Duration = Duration::from_secs(30);
 
-/// Serve chaos campaign configuration.
+/// The serve campaign's knobs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeChaosOptions {
-    /// Campaign seed; trial seeds derive from it.
-    pub seed: u64,
-    /// In-process storm trials.
-    pub trials: usize,
-    /// Requests per in-process trial.
+pub struct ServeChaos {
+    /// Requests per storm trial.
     pub requests: usize,
-    /// Daemon worker threads for in-process trials.
+    /// Daemon worker threads for storm trials.
     pub workers: usize,
-    /// Fault rate for in-process trials (pipeline + serve sites).
+    /// Fault rate for storm trials (pipeline + serve sites).
     pub fault_rate: f64,
-    /// Scratch directory for daemon state dirs.
-    pub scratch_dir: PathBuf,
-    /// Flight-recorder dump directory for the daemons under test.
+    /// Flight-recorder dump directory for the storm daemons.
     pub flight_dir: Option<PathBuf>,
-    /// Path to the `pcd` binary. When set, the SIGTERM/restart
-    /// subprocess phase runs too; `pcd chaos --serve` passes its own
-    /// path here.
-    pub pcd_exe: Option<PathBuf>,
 }
 
-impl Default for ServeChaosOptions {
+impl Default for ServeChaos {
     fn default() -> Self {
-        ServeChaosOptions {
-            seed: 7,
-            trials: 2,
+        ServeChaos {
             requests: 12,
             workers: 2,
             fault_rate: 0.05,
-            scratch_dir: std::env::temp_dir().join("pcd-serve-chaos"),
             flight_dir: None,
-            pcd_exe: None,
         }
     }
-}
-
-/// What the campaign observed. `violations` empty is the pass criterion;
-/// everything else is evidence for the summary line and CI assertions.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServeChaosReport {
-    /// In-process trials run.
-    pub trials: usize,
-    /// Requests sent across all phases.
-    pub requests_sent: usize,
-    /// `done` responses received.
-    pub done_responses: usize,
-    /// `done` responses served from the cache.
-    pub cached_responses: usize,
-    /// Typed shed responses received.
-    pub shed_responses: usize,
-    /// Cache entries deliberately corrupted on disk.
-    pub corruptions_injected: usize,
-    /// SIGTERM → restart cycles survived (subprocess phase).
-    pub restarts: usize,
-    /// Daemon-side cache hits (from summaries / stats ops).
-    pub cache_hits: usize,
-    /// Daemon-side cache misses.
-    pub cache_misses: usize,
-    /// Every broken promise, in the order observed.
-    pub violations: Vec<String>,
-}
-
-impl ServeChaosReport {
-    /// Whether the campaign passed: no violations.
-    pub fn pass(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Cache hits over all cache lookups (0.0 when nothing was looked
-    /// up). CI asserts this is positive: repeat traffic must hit.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
-/// Runs the campaign. In-process trials always run; the subprocess
-/// SIGTERM/restart phase runs when
-/// [`pcd_exe`](ServeChaosOptions::pcd_exe) is set.
-pub fn run_serve_chaos(options: &ServeChaosOptions) -> ServeChaosReport {
-    let mut report = ServeChaosReport {
-        trials: options.trials,
-        ..ServeChaosReport::default()
-    };
-    for trial in 0..options.trials {
-        let trial_seed = options
-            .seed
-            .wrapping_add((trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        run_trial_in_process(options, trial, trial_seed, &mut report);
-    }
-    if let Some(exe) = options.pcd_exe.clone() {
-        run_subprocess_phase(options, &exe, &mut report);
-    }
-    report
 }
 
 fn h2_spec(id: String, bond: f64) -> JobSpec {
@@ -190,14 +112,35 @@ fn reference_outcomes(config: &ServeConfig) -> HashMap<u64, Option<u64>> {
     reference
 }
 
-fn run_trial_in_process(
-    options: &ServeChaosOptions,
+impl ServeChaos {
+    /// One storm trial: a daemon seeded with `seed`, its state in
+    /// `scratch`, under a storm of `requests` seeded requests.
+    pub fn storm_trial(&self, trial: usize, seed: u64, scratch: &Path) -> Outcome {
+        let mut outcome = Outcome::default();
+        storm(self, trial, seed, scratch, &mut outcome);
+        outcome
+    }
+
+    /// The restart trial against real `pcd serve` processes spawned from
+    /// `exe`, seeded with `seed`, their state in `scratch`. Its daemons
+    /// run at fault rate 0: the storm trials own fault injection, and
+    /// this trial isolates the kill/restart/cache contracts so an
+    /// injected accept shed cannot mask a missing cache hit.
+    pub fn restart_trial(exe: &Path, seed: u64, scratch: &Path) -> Outcome {
+        let mut outcome = Outcome::default();
+        restart(exe, seed, scratch, &mut outcome);
+        outcome
+    }
+}
+
+fn storm(
+    options: &ServeChaos,
     trial: usize,
     trial_seed: u64,
-    report: &mut ServeChaosReport,
+    scratch: &Path,
+    outcome: &mut Outcome,
 ) {
-    let state_dir = options.scratch_dir.join(format!("trial{trial}"));
-    let _ = std::fs::remove_dir_all(&state_dir);
+    let state_dir = scratch.to_path_buf();
     let config = ServeConfig {
         state_dir: state_dir.clone(),
         workers: options.workers.max(1),
@@ -213,15 +156,13 @@ fn run_trial_in_process(
         move || run_serve(&config)
     });
     if !wait_for_path(&socket, SOCKET_WAIT) {
-        report
-            .violations
-            .push(format!("trial {trial}: socket never appeared"));
+        outcome.violations.push("socket never appeared".to_string());
     }
     let mut rng = splitmix64(trial_seed ^ 0x000C_4A05);
     for i in 0..options.requests {
         let bond = BONDS[(next(&mut rng) % BONDS.len() as u64) as usize];
         let spec = h2_spec(format!("t{trial}-r{i}"), bond);
-        report.requests_sent += 1;
+        outcome.add("requests_sent", 1);
         match next(&mut rng) % 5 {
             0 => {
                 // The client vanishes right after sending: the daemon
@@ -240,16 +181,18 @@ fn run_trial_in_process(
                     .join("cache")
                     .join(format!("{key:016x}.{CACHE_EXT}"));
                 if corrupt_file(&entry, next(&mut rng)) {
-                    report.corruptions_injected += 1;
+                    outcome.add("corruptions_injected", 1);
                 }
             }
             _ => {}
         }
         match roundtrip(&socket, &spec.to_json_line()) {
-            None => report.violations.push(format!(
-                "trial {trial} request {i}: no response within {RESPONSE_WAIT:?} (wedged?)"
+            None => outcome.violations.push(format!(
+                "request {i}: no response within {RESPONSE_WAIT:?} (wedged?)"
             )),
-            Some(line) => check_response(trial, i, &line, bond, &reference, report),
+            Some(line) => {
+                check_response(&format!("request {i}"), &line, bond, &reference, outcome);
+            }
         }
     }
     // Drain (the op itself can be shed by an injected accept fault —
@@ -266,82 +209,79 @@ fn run_trial_in_process(
         }
     }
     if !drained {
-        report
+        outcome
             .violations
-            .push(format!("trial {trial}: drain op never acknowledged"));
+            .push("drain op never acknowledged".to_string());
     }
     match daemon.join() {
         Ok(Ok(summary)) => {
             if !summary.drained {
-                report
+                outcome
                     .violations
-                    .push(format!("trial {trial}: daemon exited without draining"));
+                    .push("daemon exited without draining".to_string());
             }
-            report.cache_hits += summary.cache_hits;
-            report.cache_misses += summary.cache_misses;
+            outcome.add("cache_hits", summary.cache_hits);
+            outcome.add("cache_misses", summary.cache_misses);
         }
-        Ok(Err(e)) => report
+        Ok(Err(e)) => outcome.violations.push(format!("daemon error: {e}")),
+        Err(_) => outcome
             .violations
-            .push(format!("trial {trial}: daemon error: {e}")),
-        Err(_) => report
-            .violations
-            .push(format!("trial {trial}: daemon thread panicked")),
+            .push("daemon thread panicked".to_string()),
     }
     // The sealed manifest must decode under the serve kind.
-    match Checkpoint::read(config.manifest_path()) {
-        Ok(mut ck) if ck.kind == KIND_SERVE_MANIFEST => {
-            ck.kind = KIND_BATCH_MANIFEST.to_string();
-            match decode_manifest(&ck) {
-                Ok((meta, _)) => {
-                    if meta.batch_seed != config.seed {
-                        report.violations.push(format!(
-                            "trial {trial}: sealed seed {} != {}",
-                            meta.batch_seed, config.seed
-                        ));
-                    }
-                }
-                Err(e) => report
-                    .violations
-                    .push(format!("trial {trial}: sealed manifest undecodable: {e}")),
-            }
-        }
-        Ok(ck) => report.violations.push(format!(
-            "trial {trial}: manifest kind `{}`, expected `{KIND_SERVE_MANIFEST}`",
-            ck.kind
+    match sealed_manifest(&config) {
+        Ok((meta, _)) if meta.batch_seed != config.seed => outcome.violations.push(format!(
+            "sealed seed {} != {}",
+            meta.batch_seed, config.seed
         )),
-        Err(e) => report
-            .violations
-            .push(format!("trial {trial}: sealed manifest unreadable: {e}")),
+        Ok(_) => {}
+        Err(e) => outcome.violations.push(e),
     }
 }
 
+/// Reads a daemon's sealed manifest: a serve-kind checkpoint whose
+/// payload is a batch manifest.
+fn sealed_manifest(config: &ServeConfig) -> Result<(BatchMeta, Vec<JobRecord>), String> {
+    let mut ck = Checkpoint::read(config.manifest_path())
+        .map_err(|e| format!("sealed manifest unreadable: {e}"))?;
+    if ck.kind != KIND_SERVE_MANIFEST {
+        return Err(format!(
+            "manifest kind `{}`, expected `{KIND_SERVE_MANIFEST}`",
+            ck.kind
+        ));
+    }
+    ck.kind = KIND_BATCH_MANIFEST.to_string();
+    decode_manifest(&ck).map_err(|e| format!("sealed manifest undecodable: {e}"))
+}
+
+/// Checks one response against the reference. Returns whether a `done`
+/// response came from the cache, or `None` for any other response.
 fn check_response(
-    trial: usize,
-    i: usize,
+    label: &str,
     line: &str,
     bond: f64,
     reference: &HashMap<u64, Option<u64>>,
-    report: &mut ServeChaosReport,
-) {
+    outcome: &mut Outcome,
+) -> Option<bool> {
     let Ok(v) = json::parse(line.trim()) else {
-        report.violations.push(format!(
-            "trial {trial} request {i}: unparseable response {line:?}"
-        ));
-        return;
+        outcome
+            .violations
+            .push(format!("{label}: unparseable response {line:?}"));
+        return None;
     };
     match v.get("status").and_then(JsonValue::as_str) {
         Some("done") => {
-            report.done_responses += 1;
+            outcome.add("done_responses", 1);
             let cached = v
                 .get("cached")
                 .and_then(JsonValue::as_bool)
                 .unwrap_or(false);
             if cached {
-                report.cached_responses += 1;
+                outcome.add("cached_responses", 1);
                 if stages_contain(&v, "scf") || stages_contain(&v, "vqe") {
-                    report.violations.push(format!(
-                        "trial {trial} request {i}: cache hit ran pipeline stages"
-                    ));
+                    outcome
+                        .violations
+                        .push(format!("{label}: cache hit ran pipeline stages"));
                 }
             }
             let bits = v
@@ -350,29 +290,31 @@ fn check_response(
                 .and_then(|s| u64::from_str_radix(s, 16).ok());
             match reference.get(&bond.to_bits()) {
                 Some(Some(expected)) if bits != Some(*expected) => {
-                    report.violations.push(format!(
-                        "trial {trial} request {i}: energy bits {bits:?} diverge from reference {expected:016x}"
+                    outcome.violations.push(format!(
+                        "{label}: energy bits {bits:?} diverge from reference {expected:016x}"
                     ));
                 }
-                Some(None) => report.violations.push(format!(
-                    "trial {trial} request {i}: daemon served done where reference quarantines"
+                Some(None) => outcome.violations.push(format!(
+                    "{label}: daemon served done where reference quarantines"
                 )),
                 _ => {}
             }
+            return Some(cached);
         }
-        Some("shed") => report.shed_responses += 1,
+        Some("shed") => outcome.add("shed_responses", 1),
         Some("quarantined") => {
             if matches!(reference.get(&bond.to_bits()), Some(Some(_))) {
-                report.violations.push(format!(
-                    "trial {trial} request {i}: daemon quarantined where reference converges"
+                outcome.violations.push(format!(
+                    "{label}: daemon quarantined where reference converges"
                 ));
             }
         }
         Some("pending") | Some("deadline") => {}
-        other => report.violations.push(format!(
-            "trial {trial} request {i}: unexpected response status {other:?}"
-        )),
+        other => outcome
+            .violations
+            .push(format!("{label}: unexpected response status {other:?}")),
     }
+    None
 }
 
 fn stages_contain(v: &JsonValue, stage: &str) -> bool {
@@ -490,50 +432,34 @@ fn wait_child(child: &mut Child, timeout: Duration) -> Option<i32> {
 fn sealed_state(
     config: &ServeConfig,
     sent: &HashMap<String, f64>,
-    report: &mut ServeChaosReport,
+    outcome: &mut Outcome,
 ) -> (usize, HashSet<u64>) {
     let mut pending = 0;
     let mut sealed = HashSet::new();
-    match Checkpoint::read(config.manifest_path()) {
-        Ok(mut ck) if ck.kind == KIND_SERVE_MANIFEST => {
-            ck.kind = KIND_BATCH_MANIFEST.to_string();
-            match decode_manifest(&ck) {
-                Ok((_, records)) => {
-                    for record in records {
-                        if !record.state.is_terminal() {
-                            pending += 1;
-                        }
-                        if let Some(bond) = sent.get(&record.id) {
-                            sealed.insert(bond.to_bits());
-                        }
-                    }
+    match sealed_manifest(config) {
+        Ok((_, records)) => {
+            for record in records {
+                if !record.state.is_terminal() {
+                    pending += 1;
                 }
-                Err(e) => report
-                    .violations
-                    .push(format!("subprocess: sealed manifest undecodable: {e}")),
+                if let Some(bond) = sent.get(&record.id) {
+                    sealed.insert(bond.to_bits());
+                }
             }
         }
-        Ok(ck) => report.violations.push(format!(
-            "subprocess: manifest kind `{}`, expected `{KIND_SERVE_MANIFEST}`",
-            ck.kind
-        )),
-        Err(e) => report.violations.push(format!(
-            "subprocess: sealed manifest unreadable after SIGTERM: {e}"
-        )),
+        Err(e) => outcome
+            .violations
+            .push(format!("subprocess: after SIGTERM: {e}")),
     }
     (pending, sealed)
 }
 
-fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut ServeChaosReport) {
-    let state_dir = options.scratch_dir.join("subprocess");
-    let _ = std::fs::remove_dir_all(&state_dir);
-    // Fault rate 0 here: the in-process trials own fault injection; this
-    // phase isolates the kill/restart/cache contracts so an injected
-    // accept shed cannot mask a missing cache hit.
+fn restart(exe: &Path, seed: u64, scratch: &Path, outcome: &mut Outcome) {
+    let state_dir = scratch.to_path_buf();
     let config = ServeConfig {
         state_dir: state_dir.clone(),
         workers: 1,
-        seed: splitmix64(options.seed ^ 0x5AB5),
+        seed,
         fault_rate: 0.0,
         ..ServeConfig::default()
     };
@@ -541,15 +467,15 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
     let socket = config.socket_path();
     let mut sent: HashMap<String, f64> = HashMap::new();
 
-    // --- Lifetime 1: burst, then SIGTERM mid-compute. ---
+    // --- Lifetime 1: burst, then SIGTERM. ---
     let Some(mut child) = spawn_serve(exe, &config) else {
-        report
+        outcome
             .violations
             .push("subprocess: failed to spawn pcd serve".to_string());
         return;
     };
     if !wait_for_path(&socket, SOCKET_WAIT) {
-        report
+        outcome
             .violations
             .push("subprocess: socket never appeared".to_string());
         let _ = child.kill();
@@ -565,28 +491,45 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
         if let Some(mut stream) = connect_socket(&socket, CONNECT_WAIT) {
             if writeln!(stream, "{}", spec.to_json_line()).is_ok() {
                 held.push(stream);
-                report.requests_sent += 1;
+                outcome.add("requests_sent", 1);
             }
         }
     }
-    // Let the accept loop journal the burst, then pull the plug.
-    std::thread::sleep(Duration::from_millis(150));
+    // Pull the plug once the daemon has accepted (journaled) the whole
+    // burst — asked, not guessed with a fixed sleep.
+    let burst = held.len();
+    let deadline = Instant::now() + RESPONSE_WAIT;
+    loop {
+        let accepted = roundtrip(&socket, "{\"op\":\"stats\"}")
+            .and_then(|line| response_field(&line, "accepted"))
+            .unwrap_or(0.0) as usize;
+        if accepted >= burst {
+            break;
+        }
+        if Instant::now() > deadline {
+            outcome.violations.push(format!(
+                "subprocess: daemon accepted {accepted} of {burst} burst requests"
+            ));
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
     if !sys::send_sigterm(child.id()) {
-        report
+        outcome
             .violations
             .push("subprocess: SIGTERM delivery failed".to_string());
     }
     match wait_child(&mut child, EXIT_WAIT) {
         Some(30) => {}
-        code => report.violations.push(format!(
+        code => outcome.violations.push(format!(
             "subprocess: SIGTERM exit code {code:?}, expected 30 (drained)"
         )),
     }
     drop(held);
-    report.restarts += 1;
-    let (pending, sealed) = sealed_state(&config, &sent, report);
+    outcome.add("restarts", 1);
+    let (pending, sealed) = sealed_state(&config, &sent, outcome);
     if sealed.is_empty() {
-        report
+        outcome
             .violations
             .push("subprocess: no requests journaled before SIGTERM".to_string());
     }
@@ -594,13 +537,13 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
     // --- Lifetime 2: resume, repeats hit the cache, survive corruption,
     // drain cleanly. ---
     let Some(mut child) = spawn_serve(exe, &config) else {
-        report
+        outcome
             .violations
             .push("subprocess: failed to respawn pcd serve".to_string());
         return;
     };
     if !wait_for_path(&socket, SOCKET_WAIT) {
-        report
+        outcome
             .violations
             .push("subprocess: socket never reappeared after restart".to_string());
         let _ = child.kill();
@@ -618,7 +561,7 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
             break;
         }
         if Instant::now() > deadline {
-            report
+            outcome
                 .violations
                 .push("subprocess: resumed tail never completed".to_string());
             break;
@@ -629,52 +572,22 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
     for (i, bond) in BONDS.iter().enumerate() {
         let spec = h2_spec(format!("s2-{i}"), *bond);
         sent.insert(spec.id.clone(), *bond);
-        report.requests_sent += 1;
+        outcome.add("requests_sent", 1);
         let Some(line) = roundtrip(&socket, &spec.to_json_line()) else {
-            report
+            outcome
                 .violations
                 .push(format!("subprocess repeat {i}: no response (wedged?)"));
             continue;
         };
-        let Ok(v) = json::parse(line.trim()) else {
-            report
+        let label = format!("subprocess repeat {i}");
+        match check_response(&label, &line, *bond, &reference, outcome) {
+            Some(false) if sealed.contains(&bond.to_bits()) => outcome.violations.push(format!(
+                "{label}: journaled request recomputed instead of hitting the cache"
+            )),
+            Some(_) => {}
+            None => outcome
                 .violations
-                .push(format!("subprocess repeat {i}: unparseable response"));
-            continue;
-        };
-        if v.get("status").and_then(JsonValue::as_str) != Some("done") {
-            report
-                .violations
-                .push(format!("subprocess repeat {i}: not done: {}", line.trim()));
-            continue;
-        }
-        report.done_responses += 1;
-        let cached = v
-            .get("cached")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false);
-        if cached {
-            report.cached_responses += 1;
-        } else if sealed.contains(&bond.to_bits()) {
-            report.violations.push(format!(
-                "subprocess repeat {i}: journaled request recomputed instead of hitting the cache"
-            ));
-        }
-        if cached && (stages_contain(&v, "scf") || stages_contain(&v, "vqe")) {
-            report.violations.push(format!(
-                "subprocess repeat {i}: cache hit ran pipeline stages"
-            ));
-        }
-        let bits = v
-            .get("energy_bits")
-            .and_then(JsonValue::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok());
-        if let Some(Some(expected)) = reference.get(&bond.to_bits()) {
-            if bits != Some(*expected) {
-                report.violations.push(format!(
-                    "subprocess repeat {i}: energy bits diverge from reference"
-                ));
-            }
+                .push(format!("{label}: not done: {}", line.trim())),
         }
     }
     // Corrupt a sealed entry on disk; the daemon must quarantine it and
@@ -686,19 +599,25 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
     let entry = state_dir
         .join("cache")
         .join(format!("{key:016x}.{CACHE_EXT}"));
-    if corrupt_file(&entry, options.seed ^ 0x0B17_F11B) {
-        report.corruptions_injected += 1;
-        report.requests_sent += 1;
+    if corrupt_file(&entry, seed ^ 0x0B17_F11B) {
+        outcome.add("corruptions_injected", 1);
+        outcome.add("requests_sent", 1);
         match roundtrip(&socket, &corrupt_spec.to_json_line()) {
-            None => report
+            None => outcome
                 .violations
                 .push("subprocess corruption probe: no response (wedged?)".to_string()),
             Some(line) => {
-                check_response(usize::MAX, 0, &line, bond, &reference, report);
+                check_response(
+                    "subprocess corruption probe",
+                    &line,
+                    bond,
+                    &reference,
+                    outcome,
+                );
                 let mut quarantined = entry.as_os_str().to_os_string();
                 quarantined.push(".quarantined");
                 if !PathBuf::from(quarantined).exists() {
-                    report.violations.push(
+                    outcome.violations.push(
                         "subprocess corruption probe: corrupt entry not quarantined aside"
                             .to_string(),
                     );
@@ -708,8 +627,14 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
     }
     // Grab the daemon-side cache stats before draining.
     if let Some(line) = roundtrip(&socket, "{\"op\":\"stats\"}") {
-        report.cache_hits += response_field(&line, "cache_hits").unwrap_or(0.0) as usize;
-        report.cache_misses += response_field(&line, "cache_misses").unwrap_or(0.0) as usize;
+        outcome.add(
+            "cache_hits",
+            response_field(&line, "cache_hits").unwrap_or(0.0) as usize,
+        );
+        outcome.add(
+            "cache_misses",
+            response_field(&line, "cache_misses").unwrap_or(0.0) as usize,
+        );
     }
     // Final drain via the op, then the sealed record-level replay check.
     let mut acked = false;
@@ -722,92 +647,69 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
         }
     }
     if !acked {
-        report
+        outcome
             .violations
             .push("subprocess: final drain never acknowledged".to_string());
     }
     match wait_child(&mut child, EXIT_WAIT) {
         Some(30) => {}
-        code => report.violations.push(format!(
+        code => outcome.violations.push(format!(
             "subprocess: final drain exit code {code:?}, expected 30"
         )),
     }
-    report.restarts += 1;
+    outcome.add("restarts", 1);
     // Every sealed Done record — including the resumed tail — must match
     // the in-process reference bit-for-bit: the restart replay contract.
-    match Checkpoint::read(config.manifest_path()) {
-        Ok(mut ck) if ck.kind == KIND_SERVE_MANIFEST => {
-            ck.kind = KIND_BATCH_MANIFEST.to_string();
-            match decode_manifest(&ck) {
-                Ok((_, records)) => {
-                    for record in &records {
-                        let JobState::Done { energy_bits, .. } = record.state else {
-                            continue;
-                        };
-                        let Some(bond) = sent.get(&record.id) else {
-                            continue;
-                        };
-                        if reference.get(&bond.to_bits()) != Some(&Some(energy_bits)) {
-                            report.violations.push(format!(
-                                "subprocess: sealed record `{}` diverges from reference",
-                                record.id
-                            ));
-                        }
-                    }
+    match sealed_manifest(&config) {
+        Ok((_, records)) => {
+            for record in &records {
+                let JobState::Done { energy_bits, .. } = record.state else {
+                    continue;
+                };
+                let Some(bond) = sent.get(&record.id) else {
+                    continue;
+                };
+                if reference.get(&bond.to_bits()) != Some(&Some(energy_bits)) {
+                    outcome.violations.push(format!(
+                        "subprocess: sealed record `{}` diverges from reference",
+                        record.id
+                    ));
                 }
-                Err(e) => report
-                    .violations
-                    .push(format!("subprocess: final manifest undecodable: {e}")),
             }
         }
-        Ok(ck) => report.violations.push(format!(
-            "subprocess: final manifest kind `{}`, expected `{KIND_SERVE_MANIFEST}`",
-            ck.kind
-        )),
-        Err(e) => report
+        Err(e) => outcome
             .violations
-            .push(format!("subprocess: final manifest unreadable: {e}")),
+            .push(format!("subprocess: after the final drain: {e}")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resilience::chaos::{Campaign, Report};
+
+    fn storms(seed: u64, requests: usize, fault_rate: f64) -> Report {
+        let driver = ServeChaos {
+            requests,
+            fault_rate,
+            ..ServeChaos::default()
+        };
+        Campaign::new("serve-test", seed, 1).run(|t, s, dir| driver.storm_trial(t, s, dir))
+    }
 
     #[test]
     fn in_process_campaign_passes_clean() {
-        let options = ServeChaosOptions {
-            seed: 11,
-            trials: 1,
-            requests: 6,
-            workers: 2,
-            fault_rate: 0.0,
-            scratch_dir: std::env::temp_dir()
-                .join(format!("pcd-serve-chaos-clean-{}", std::process::id())),
-            flight_dir: None,
-            pcd_exe: None,
-        };
-        let report = run_serve_chaos(&options);
-        assert!(report.pass(), "violations: {:?}", report.violations);
-        assert!(report.done_responses > 0, "storm produced no answers");
-        let _ = std::fs::remove_dir_all(&options.scratch_dir);
+        let report = storms(11, 6, 0.0);
+        assert!(report.survived(), "{:?}", report.outcomes);
+        assert!(
+            report.total("done_responses") > 0,
+            "storm produced no answers"
+        );
     }
 
     #[test]
     fn in_process_campaign_survives_fault_injection() {
-        let options = ServeChaosOptions {
-            seed: 23,
-            trials: 1,
-            requests: 8,
-            workers: 2,
-            fault_rate: 0.15,
-            scratch_dir: std::env::temp_dir()
-                .join(format!("pcd-serve-chaos-faulty-{}", std::process::id())),
-            flight_dir: None,
-            pcd_exe: None,
-        };
-        let report = run_serve_chaos(&options);
-        assert!(report.pass(), "violations: {:?}", report.violations);
-        let _ = std::fs::remove_dir_all(&options.scratch_dir);
+        let report = storms(23, 8, 0.15);
+        assert!(report.survived(), "{:?}", report.outcomes);
     }
 }

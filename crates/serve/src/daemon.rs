@@ -26,10 +26,12 @@
 //!
 //! # Drain and restart protocol
 //!
-//! SIGTERM (or the `drain` op) flips a flag; the accept loop stops
+//! SIGTERM (or the `drain` op) flips a flag; the accept loop takes in
+//! the connections already waiting in the listener backlog, then stops
 //! accepting; in-flight jobs finish; queued-but-unstarted requests are
-//! answered `pending` and journaled as pending records. The daemon then
-//! seals `serve.jobs` (the specs, in admission order) and
+//! answered `pending` and journaled as pending records, so every
+//! request that connected before the drain is in the sealed manifest.
+//! The daemon then seals `serve.jobs` (the specs, in admission order) and
 //! `serve.manifest` (a batch-manifest-schema checkpoint under the
 //! `serve-manifest` kind) and exits. A restarted daemon replays the
 //! pair, re-enqueues every pending record on the slow lane, and serves
@@ -650,6 +652,12 @@ fn accept_loop(shared: &Shared, listener: &UnixListener) {
     let mut last_activity = Instant::now();
     loop {
         if shared.draining() {
+            // A connection still in the listener's backlog connected
+            // before the drain took effect: take it in so a worker
+            // journals it as pending, instead of dropping it unrecorded.
+            while let Ok((stream, _)) = listener.accept() {
+                shared.queue.push_fast(Work::Client(stream));
+            }
             return;
         }
         if shared

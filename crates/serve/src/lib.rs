@@ -47,19 +47,12 @@ pub mod protocol;
 pub mod sys;
 
 pub use cache::{cache_key, Cache, CacheProbe, CachedResult, CACHE_EXT, KIND_SERVE_CACHE};
-pub use chaos::{run_serve_chaos, ServeChaosOptions, ServeChaosReport};
+pub use chaos::ServeChaos;
 pub use daemon::{
     compute_record, request_seed, run_serve, ServeConfig, ServeError, ServeSummary,
     KIND_SERVE_MANIFEST,
 };
 pub use protocol::{parse_request, Request};
 
-/// SplitMix64 finalizer — the same constants as the supervisor's and the
-/// fault plan's mixers, so the whole fleet shares one notion of
-/// "decorrelate this key".
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// The workspace's one SplitMix64 mixer (see [`resilience::splitmix64`]).
+pub(crate) use resilience::splitmix64;

@@ -1,106 +1,81 @@
-//! Supervised chaos: drive whole batches through the supervisor under
-//! injected panics, hangs, and transients, and assert the supervision
-//! invariants hold.
+//! The supervisor's chaos drivers, run by
+//! [`resilience::chaos::Campaign`]. One [`BatchChaos`] configures all
+//! three:
 //!
-//! Per trial, the harness checks that:
+//! - **Supervised** ([`BatchChaos::supervised_trial`]): a whole batch
+//!   under injected panics, hangs, and transients. No job is lost or
+//!   double-counted (`done + quarantined + shed` equals the batch size,
+//!   and panics stay inside their worker). The same batch at another
+//!   worker count yields bit-identical records. A batch drained after a
+//!   few budget slices and resumed from its manifest reproduces the
+//!   uninterrupted batch bit-for-bit.
+//! - **Kill-shard** ([`BatchChaos::kill_shard_trial`]): real `pcd batch
+//!   --shard-id` subprocesses over a shared checkpoint directory, one
+//!   SIGKILLed mid-run. The survivors' takeover sweep (or an in-process
+//!   rescue re-run) plus a merge must seal a manifest bit-identical to
+//!   the 1-shard reference.
+//! - **Net** ([`BatchChaos::net_trial`]): real `pcd batch --connect`
+//!   workers reach an in-process coordinator through a seeded
+//!   [`net::FaultProxy`], and one is SIGKILLed while it holds a grant.
+//!   The coordinator's sealed manifest must equal the reference.
 //!
-//! 1. **No job is lost or double-counted** — every job lands in exactly
-//!    one terminal state, and `done + quarantined + shed` equals the
-//!    batch size. The process never aborts: panics stay inside their
-//!    worker.
-//! 2. **Worker count is invisible** — the same batch at 1 worker yields
-//!    bit-identical per-job records.
-//! 3. **Drain/resume is exact** — a batch drained after a few budget
-//!    slices and resumed from its manifest reproduces the uninterrupted
-//!    batch bit-for-bit.
+//! The kill-shard and net drivers share the in-process reference-manifest
+//! oracle ([`Reference`]) and one spawn/kill/wait fleet helper.
 
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::process::{Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 
 use chem::Benchmark;
-
-use crate::engine::{run_batch, run_batch_resumed, InjectionPlan, SupervisorConfig};
-use crate::job::JobSpec;
-use crate::manifest::{decode_manifest, encode_manifest, BatchMeta};
-use crate::queue::ShedPolicy;
+use net::{FaultProxy, ProxyOptions};
+use resilience::chaos::Outcome;
 use resilience::Checkpoint;
 
-/// Supervised-chaos campaign configuration.
+use crate::engine::{run_batch, run_batch_resumed, InjectionPlan, SupervisorConfig};
+use crate::job::{JobRecord, JobSpec};
+use crate::lease::Lease;
+use crate::manifest::{decode_manifest, encode_manifest, BatchMeta};
+use crate::merge::merge_shards;
+use crate::queue::ShedPolicy;
+use crate::remote::{Coordinator, CoordinatorOptions};
+use crate::shard::{decode_shard_manifest, job_shard, run_shard, shard_manifest_path, ShardSpec};
+use crate::splitmix64;
+
+/// Knobs the supervisor's three campaign drivers share.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedChaosOptions {
-    /// Campaign seed; trial `t` derives its batch seed from it.
-    pub seed: u64,
-    /// Number of trials.
-    pub trials: usize,
+pub struct BatchChaos {
     /// Jobs per trial batch.
     pub jobs: usize,
-    /// Worker threads for the primary run of each trial.
+    /// Worker threads per supervisor: the in-process batch (supervised)
+    /// or each fleet process (kill-shard, net).
     pub workers: usize,
-    /// Injection rate for panics/hangs/transients (the pipeline fault
-    /// plan runs at half this rate).
+    /// Fleet processes per trial: shards (kill-shard) or TCP workers
+    /// (net).
+    pub fleet: usize,
+    /// Injection rate for panics, hangs, and transients.
     pub fault_rate: f64,
-    /// Also drain each trial's batch mid-flight and verify the resumed
-    /// records match the uninterrupted ones bit-for-bit.
-    pub check_drain: bool,
-    /// Scratch directory for drain manifests (defaults to the system
-    /// temp directory).
-    pub scratch_dir: Option<PathBuf>,
-    /// When set, every trial arms the flight recorder so quarantines and
-    /// injected faults dump `flight-<job>.jsonl` rings here.
+    /// Proxy injection rate per fault site per frame (net only).
+    pub net_fault_rate: f64,
+    /// The `pcd` binary fleets are spawned from.
+    pub pcd_exe: PathBuf,
+    /// When set, supervised and kill-shard trials arm the flight
+    /// recorder here, so quarantines, takeovers, and injected faults
+    /// dump `flight-<job>.jsonl` rings.
     pub flight_dir: Option<PathBuf>,
 }
 
-impl Default for SupervisedChaosOptions {
+impl Default for BatchChaos {
     fn default() -> Self {
-        SupervisedChaosOptions {
-            seed: 42,
-            trials: 10,
+        BatchChaos {
             jobs: 6,
             workers: 2,
+            fleet: 3,
             fault_rate: 0.25,
-            check_drain: true,
-            scratch_dir: None,
+            net_fault_rate: 0.05,
+            pcd_exe: PathBuf::from("pcd"),
             flight_dir: None,
         }
-    }
-}
-
-/// One trial's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedTrialOutcome {
-    /// Trial index.
-    pub trial: usize,
-    /// Jobs that completed.
-    pub done: usize,
-    /// Jobs quarantined.
-    pub quarantined: usize,
-    /// Jobs shed by admission control.
-    pub shed: usize,
-    /// Supervisor-level retries spent across the batch.
-    pub retries: usize,
-    /// Invariant violations (empty = the trial survived).
-    pub violations: Vec<String>,
-}
-
-/// The whole campaign's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedChaosReport {
-    /// Per-trial outcomes.
-    pub outcomes: Vec<SupervisedTrialOutcome>,
-}
-
-impl SupervisedChaosReport {
-    /// Trials that violated an invariant.
-    pub fn failures(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| !o.violations.is_empty())
-            .count()
-    }
-
-    /// Whether every trial upheld every invariant.
-    pub fn survived(&self) -> bool {
-        self.failures() == 0
     }
 }
 
@@ -115,81 +90,45 @@ pub(crate) fn trial_jobs(n: usize) -> Vec<JobSpec> {
         .collect()
 }
 
-fn trial_config(trial: usize, opts: &SupervisedChaosOptions) -> SupervisorConfig {
-    // Same trial-seed derivation as the unsupervised chaos harness.
-    let batch_seed = opts
-        .seed
-        .wrapping_add((trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    // Every third trial undersizes the queue so the shed path gets
-    // exercised too, alternating the policy.
-    let (queue_cap, shed) = if trial % 3 == 2 && opts.jobs > 1 {
-        let policy = if trial.is_multiple_of(2) {
-            ShedPolicy::RejectNew
-        } else {
-            ShedPolicy::DropOldest
-        };
-        (opts.jobs - 1, policy)
-    } else {
-        (0, ShedPolicy::RejectNew)
-    };
-    SupervisorConfig {
-        workers: opts.workers,
-        batch_seed,
-        max_retries: 3,
-        queue_cap,
-        shed,
-        slice_ticks: 2,
-        max_slices: 64,
-        breaker_threshold: 3,
-        pipeline_fault_rate: opts.fault_rate * 0.5,
-        injection: InjectionPlan::chaos(opts.fault_rate),
-        flight_dir: opts.flight_dir.clone(),
-        ..SupervisorConfig::default()
-    }
-}
-
-/// Runs the supervised-chaos campaign.
-pub fn run_supervised_chaos(opts: &SupervisedChaosOptions) -> SupervisedChaosReport {
-    let mut span = obs::span("supervisor.chaos");
-    span.record("trials", opts.trials);
-    span.record("fault_rate", opts.fault_rate);
-
-    let jobs = trial_jobs(opts.jobs.max(1));
-    let mut outcomes = Vec::with_capacity(opts.trials);
-    for trial in 0..opts.trials {
-        let config = trial_config(trial, opts);
-        let mut violations = Vec::new();
+impl BatchChaos {
+    /// One supervised trial: checks the three supervision invariants on
+    /// a batch seeded with `batch_seed`, draining into `scratch`.
+    pub fn supervised_trial(&self, trial: usize, batch_seed: u64, scratch: &Path) -> Outcome {
+        let jobs = trial_jobs(self.jobs.max(1));
+        let config = self.supervised_config(trial, batch_seed);
+        let mut outcome = Outcome::default();
 
         let baseline = match run_batch(&jobs, &config) {
             Ok(report) => report,
             Err(e) => {
-                outcomes.push(SupervisedTrialOutcome {
-                    trial,
-                    done: 0,
-                    quarantined: 0,
-                    shed: 0,
-                    retries: 0,
-                    violations: vec![format!("supervisor error: {e}")],
-                });
-                obs::counter_add("supervisor.chaos_failures", 1);
-                continue;
+                outcome.violations.push(format!("supervisor error: {e}"));
+                return outcome;
             }
         };
+        outcome.add("jobs_done", baseline.done());
+        outcome.add("jobs_quarantined", baseline.quarantined());
+        outcome.add("jobs_shed", baseline.shed());
+        outcome.add(
+            "retries_spent",
+            baseline.records.iter().map(|r| r.retries).sum(),
+        );
 
         // Invariant 1: exactly one terminal state per job, none lost.
         if baseline.records.len() != jobs.len() {
-            violations.push(format!(
+            outcome.violations.push(format!(
                 "{} records for {} jobs",
                 baseline.records.len(),
                 jobs.len()
             ));
         }
         if !baseline.all_terminal() {
-            violations.push("undrained batch left non-terminal jobs".to_string());
+            outcome
+                .violations
+                .push("undrained batch left non-terminal jobs".to_string());
         }
         let counted = baseline.done() + baseline.quarantined() + baseline.shed();
         if counted != jobs.len() {
-            violations.push(format!(
+            outcome.violations.push(format!(
                 "terminal states count {counted}, expected {} (lost or double-counted)",
                 jobs.len()
             ));
@@ -204,69 +143,373 @@ pub fn run_supervised_chaos(opts: &SupervisedChaosOptions) -> SupervisedChaosRep
                 ..config.clone()
             },
         ) {
-            Ok(alt) if alt.records != baseline.records => violations.push(format!(
+            Ok(alt) if alt.records != baseline.records => outcome.violations.push(format!(
                 "records differ between {} and {alt_workers} workers",
                 config.workers
             )),
             Ok(_) => {}
-            Err(e) => violations.push(format!("rerun at {alt_workers} workers failed: {e}")),
+            Err(e) => outcome
+                .violations
+                .push(format!("rerun at {alt_workers} workers failed: {e}")),
         }
 
         // Invariant 3: drain + resume reproduces the uninterrupted batch.
-        if opts.check_drain {
-            if let Err(v) = check_drain_resume(trial, &jobs, &config, &baseline.records, opts) {
-                violations.push(v);
+        if let Err(v) = drain_resume(&jobs, &config, &baseline.records, scratch) {
+            outcome.violations.push(v);
+        }
+        outcome
+    }
+
+    fn supervised_config(&self, trial: usize, batch_seed: u64) -> SupervisorConfig {
+        // Every third trial undersizes the queue so the shed path gets
+        // exercised too, alternating the policy.
+        let (queue_cap, shed) = if trial % 3 == 2 && self.jobs > 1 {
+            let policy = if trial.is_multiple_of(2) {
+                ShedPolicy::RejectNew
+            } else {
+                ShedPolicy::DropOldest
+            };
+            (self.jobs - 1, policy)
+        } else {
+            (0, ShedPolicy::RejectNew)
+        };
+        SupervisorConfig {
+            workers: self.workers,
+            batch_seed,
+            max_retries: 3,
+            queue_cap,
+            shed,
+            slice_ticks: 2,
+            max_slices: 64,
+            breaker_threshold: 3,
+            pipeline_fault_rate: self.fault_rate * 0.5,
+            injection: InjectionPlan::chaos(self.fault_rate),
+            flight_dir: self.flight_dir.clone(),
+            ..SupervisorConfig::default()
+        }
+    }
+
+    /// The config `pcd batch` builds from the flags a fleet is spawned
+    /// with, so the in-process reference and rescue runs share the
+    /// determinism keys with the fleet.
+    fn fleet_config(&self, batch_seed: u64) -> SupervisorConfig {
+        SupervisorConfig {
+            workers: self.workers.max(1),
+            batch_seed,
+            pipeline_fault_rate: self.fault_rate,
+            injection: if self.fault_rate > 0.0 {
+                InjectionPlan::chaos(self.fault_rate)
+            } else {
+                InjectionPlan::none()
+            },
+            ..SupervisorConfig::default()
+        }
+    }
+
+    /// One kill-shard trial: launches `fleet` real `pcd batch --shard-id`
+    /// subprocesses over `scratch/ckpt`, SIGKILLs a seeded victim as soon
+    /// as its lease appears, lets the survivors' takeover sweep (or an
+    /// in-process rescue re-run) absorb the orphaned jobs, merges, and
+    /// checks the sealed manifest against the 1-shard reference — no job
+    /// lost, duplicated, or silently degraded.
+    pub fn kill_shard_trial(&self, batch_seed: u64, scratch: &Path) -> Outcome {
+        let mut outcome = Outcome::default();
+        if let Err(v) = self.kill_shard(batch_seed, scratch, &mut outcome) {
+            outcome.violations.push(v);
+        }
+        outcome
+    }
+
+    fn kill_shard(
+        &self,
+        batch_seed: u64,
+        scratch: &Path,
+        outcome: &mut Outcome,
+    ) -> Result<(), String> {
+        let jobs = trial_jobs(self.jobs.max(1));
+        let shards = self.fleet.max(1);
+        let victim = (splitmix64(batch_seed ^ 0xDEAD) % shards as u64) as usize;
+        let jobs_path = scratch.join("jobs.jsonl");
+        let text: String = jobs.iter().map(|j| j.to_json_line() + "\n").collect();
+        std::fs::write(&jobs_path, text).map_err(|e| format!("jobs file: {e}"))?;
+        let config = self.fleet_config(batch_seed);
+        let reference = Reference::of(&jobs, &config)?;
+
+        let dir = scratch.join("ckpt");
+        let lease_path = Lease::path(&dir, victim);
+        let (_, killed_mid_run) = self.run_fleet(
+            shards,
+            victim,
+            Duration::from_secs(30),
+            || lease_path.exists(),
+            |shard_id, cmd| {
+                cmd.arg("batch")
+                    .arg(&jobs_path)
+                    .args(["--workers", &self.workers.to_string()])
+                    .args(["--seed", &batch_seed.to_string()])
+                    .args(["--shards", &shards.to_string()])
+                    .args(["--shard-id", &shard_id.to_string()])
+                    .arg("--checkpoint")
+                    .arg(&dir);
+                if self.fault_rate > 0.0 {
+                    cmd.args(["--fault-rate", &self.fault_rate.to_string()]);
+                }
+                if let Some(flight) = &self.flight_dir {
+                    cmd.arg("--flight-dir").arg(flight);
+                }
+            },
+        )?;
+        outcome.add("killed_mid_run", usize::from(killed_mid_run));
+
+        // First merge: survivors may already have absorbed the victim via
+        // their takeover sweep.
+        let first = merge_shards(&dir, &jobs).map_err(|e| format!("first merge: {e}"))?;
+
+        // Rescue path: whatever is still missing or pending belongs to
+        // shards nobody finished — re-run them in-process (`run_shard`
+        // takes the dead lease over) and merge again. This is the
+        // "re-run takeover" flow a human operator would use.
+        let mut rescue_shards: Vec<usize> = first
+            .missing
+            .iter()
+            .copied()
+            .chain(
+                first
+                    .records
+                    .iter()
+                    .filter(|r| !r.state.is_terminal())
+                    .map(|r| r.index),
+            )
+            .map(|i| job_shard(i, shards))
+            .collect();
+        rescue_shards.sort_unstable();
+        rescue_shards.dedup();
+        let merged = if rescue_shards.is_empty() {
+            first
+        } else {
+            outcome.add("rescued", 1);
+            let rescue_config = SupervisorConfig {
+                ckpt_dir: Some(dir.clone()),
+                flight_dir: self.flight_dir.clone(),
+                ..config
+            };
+            for shard_id in rescue_shards {
+                run_shard(&jobs, &rescue_config, ShardSpec { shards, shard_id })
+                    .map_err(|e| format!("rescue of shard {shard_id}: {e}"))?;
+            }
+            merge_shards(&dir, &jobs).map_err(|e| format!("post-rescue merge: {e}"))?
+        };
+        let takeovers = merged.takeovers().count();
+        outcome.add("takeovers", takeovers);
+
+        reference.check(
+            outcome,
+            "merged batch",
+            merged.records.len(),
+            &merged.sealed,
+        );
+        if !merged.complete() {
+            outcome
+                .violations
+                .push("merged batch left jobs missing or pending".to_string());
+        }
+        if killed_mid_run && !merged.quarantined.is_empty() {
+            // A torn victim manifest is quarantined, then the rescue
+            // re-seals it — informational, not a violation.
+            obs::counter_add("supervisor.kill_shard_torn_manifests", 1);
+        }
+        // A mid-run kill must show as a takeover in the lineage, unless
+        // the victim raced past the lease poll and sealed its own
+        // manifest anyway.
+        let victim_sealed = Checkpoint::read(shard_manifest_path(&dir, victim))
+            .ok()
+            .and_then(|ck| decode_shard_manifest(&ck).ok())
+            .is_some_and(|(meta, _)| meta.taken_over_from.is_none());
+        if killed_mid_run && takeovers == 0 && !victim_sealed {
+            outcome.violations.push(format!(
+                "victim shard {victim} was killed mid-run but no takeover is recorded"
+            ));
+        }
+        Ok(())
+    }
+
+    /// One net trial: binds an in-process coordinator, stands a
+    /// [`FaultProxy`] in front of it, launches `fleet` real `pcd batch
+    /// --connect` workers through the proxy, SIGKILLs a seeded victim as
+    /// soon as it holds a grant, and checks the coordinator's sealed
+    /// manifest against the single-machine reference — no record lost,
+    /// duplicated, or silently corrupted by the damaged link.
+    pub fn net_trial(&self, batch_seed: u64, scratch: &Path) -> Outcome {
+        let mut outcome = Outcome::default();
+        if let Err(v) = self.net(batch_seed, scratch, &mut outcome) {
+            outcome.violations.push(v);
+        }
+        outcome
+    }
+
+    fn net(&self, batch_seed: u64, scratch: &Path, outcome: &mut Outcome) -> Result<(), String> {
+        let jobs = trial_jobs(self.jobs.max(1));
+        let workers = self.fleet.max(1);
+        let config = self.fleet_config(batch_seed);
+        let reference = Reference::of(&jobs, &config)?;
+
+        let coordinator = Coordinator::bind(
+            &jobs,
+            &SupervisorConfig {
+                ckpt_dir: Some(scratch.join("ckpt")),
+                ..config
+            },
+            CoordinatorOptions {
+                shards: workers,
+                deadline: Duration::from_secs(60),
+                ..CoordinatorOptions::default()
+            },
+        )
+        .map_err(|e| format!("coordinator bind: {e}"))?;
+        let watch = coordinator.watch();
+        let proxy = FaultProxy::start(ProxyOptions {
+            listen: SocketAddr::from(([127, 0, 0, 1], 0)),
+            target: coordinator.addr(),
+            seed: splitmix64(batch_seed ^ 0x5EA_F007),
+            fault_rate: self.net_fault_rate,
+        })
+        .map_err(|e| format!("proxy start: {e}"))?;
+        let proxy_addr = proxy.addr().to_string();
+        let coord_thread = std::thread::spawn(move || coordinator.run());
+
+        let victim = (splitmix64(batch_seed ^ 0xFEED) % workers as u64) as usize;
+        let victim_id = format!("w{victim}");
+        let fleet = self.run_fleet(
+            workers,
+            victim,
+            Duration::from_secs(20),
+            || watch.granted_to(&victim_id),
+            |w, cmd| {
+                cmd.arg("batch")
+                    .args(["--connect", &proxy_addr])
+                    .args(["--worker-id", &format!("w{w}")])
+                    .args(["--workers", &self.workers.max(1).to_string()])
+                    .arg("--local-dir")
+                    .arg(scratch.join(format!("w{w}")));
+            },
+        );
+        // Join the coordinator and stop the proxy on every path.
+        let coordinated = coord_thread.join();
+        proxy.stop();
+        let (statuses, killed_mid_run) = fleet?;
+        outcome.add("killed_mid_run", usize::from(killed_mid_run));
+        // Survivors must end in the exit taxonomy: 0 (drained clean) or
+        // 36 (transport exhausted, sealed partial, resumable).
+        for (w, status) in statuses.iter().enumerate() {
+            match status.code() {
+                _ if w == victim => {}
+                Some(0) | Some(36) => {}
+                code => outcome
+                    .violations
+                    .push(format!("worker w{w} exited {code:?} (want 0 or 36)")),
             }
         }
 
-        obs::event!(
-            "supervisor.chaos_trial",
-            trial = trial,
-            done = baseline.done(),
-            quarantined = baseline.quarantined(),
-            shed = baseline.shed(),
-            violations = violations.len()
-        );
-        if !violations.is_empty() {
-            obs::counter_add("supervisor.chaos_failures", 1);
-        }
-        outcomes.push(SupervisedTrialOutcome {
-            trial,
-            done: baseline.done(),
-            quarantined: baseline.quarantined(),
-            shed: baseline.shed(),
-            retries: baseline.records.iter().map(|r| r.retries).sum(),
-            violations,
-        });
+        let report = coordinated
+            .map_err(|_| "coordinator thread panicked".to_string())?
+            .map_err(|e| format!("coordinator run: {e}"))?;
+        outcome.add("takeovers", report.takeovers.len());
+        outcome.add("rescued", report.rescued.len());
+        outcome.add("deduped", report.deduped);
+        reference.check(outcome, "coordinator", report.records.len(), &report.sealed);
+        Ok(())
     }
 
-    let report = SupervisedChaosReport { outcomes };
-    span.record("failures", report.failures());
-    report
+    /// Spawns `members` `pcd` subprocesses (`configure` adds member `i`'s
+    /// arguments), SIGKILLs member `victim` as soon as `mid_run` reports
+    /// it holds work (or `wait` runs out), and waits for the whole fleet.
+    /// Returns every member's exit status and whether the kill landed
+    /// mid-run: a victim that beat the poll to completion exits 0.
+    fn run_fleet(
+        &self,
+        members: usize,
+        victim: usize,
+        wait: Duration,
+        mid_run: impl Fn() -> bool,
+        configure: impl Fn(usize, &mut Command),
+    ) -> Result<(Vec<ExitStatus>, bool), String> {
+        let mut children = Vec::with_capacity(members);
+        for i in 0..members {
+            let mut cmd = Command::new(&self.pcd_exe);
+            configure(i, &mut cmd);
+            match cmd.stdout(Stdio::null()).stderr(Stdio::null()).spawn() {
+                Ok(child) => children.push(child),
+                Err(e) => {
+                    for mut child in children {
+                        let _ = child.kill();
+                        let _ = child.wait();
+                    }
+                    return Err(format!("spawning fleet member {i}: {e}"));
+                }
+            }
+        }
+        let deadline = Instant::now() + wait;
+        while !mid_run() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        if let Some(child) = children.get_mut(victim) {
+            let _ = child.kill();
+        }
+        let mut statuses = Vec::with_capacity(members);
+        for (i, mut child) in children.into_iter().enumerate() {
+            let status = child
+                .wait()
+                .map_err(|e| format!("waiting for fleet member {i}: {e}"))?;
+            statuses.push(status);
+        }
+        let killed_mid_run = statuses.get(victim).is_some_and(|s| !s.success());
+        Ok((statuses, killed_mid_run))
+    }
 }
 
-fn check_drain_resume(
-    trial: usize,
-    jobs: &[JobSpec],
-    config: &SupervisorConfig,
-    expected: &[crate::job::JobRecord],
-    opts: &SupervisedChaosOptions,
-) -> Result<(), String> {
-    let scratch = opts
-        .scratch_dir
-        .clone()
-        .unwrap_or_else(std::env::temp_dir)
-        .join(format!("pcd-supervised-{}-{trial}", std::process::id()));
-    let result = drain_resume_inner(jobs, config, expected, &scratch);
-    let _ = std::fs::remove_dir_all(&scratch);
-    result
+/// The in-process oracle: the sealed `batch.manifest` bytes of an
+/// uninterrupted run. Every fleet run must reproduce them bit for bit.
+struct Reference {
+    bytes: Vec<u8>,
+    jobs: usize,
 }
 
-fn drain_resume_inner(
+impl Reference {
+    fn of(jobs: &[JobSpec], config: &SupervisorConfig) -> Result<Self, String> {
+        let reference = run_batch(jobs, config).map_err(|e| format!("reference run: {e}"))?;
+        let meta = BatchMeta {
+            batch_seed: config.batch_seed,
+            jobs: jobs.len(),
+            pipeline_fault_rate: config.pipeline_fault_rate,
+        };
+        Ok(Reference {
+            bytes: encode_manifest(&meta, &reference.records).to_bytes(),
+            jobs: jobs.len(),
+        })
+    }
+
+    /// Records a violation unless `who` holds one record per job and
+    /// sealed exactly the reference bytes.
+    fn check(&self, outcome: &mut Outcome, who: &str, records: usize, sealed: &[u8]) {
+        if records != self.jobs {
+            outcome.violations.push(format!(
+                "{who} holds {records} records for {} jobs",
+                self.jobs
+            ));
+        }
+        if sealed != self.bytes.as_slice() {
+            outcome.violations.push(format!(
+                "{who} batch.manifest differs from the uninterrupted in-process reference"
+            ));
+        }
+    }
+}
+
+fn drain_resume(
     jobs: &[JobSpec],
     config: &SupervisorConfig,
-    expected: &[crate::job::JobRecord],
-    scratch: &std::path::Path,
+    expected: &[JobRecord],
+    scratch: &Path,
 ) -> Result<(), String> {
     let drained_config = SupervisorConfig {
         drain_after_ticks: Some(3),
@@ -297,383 +540,29 @@ fn drain_resume_inner(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Kill-shard chaos: SIGKILL a real shard subprocess mid-batch and verify
-// takeover + merge reconstruct the 1-shard manifest bit-for-bit.
-// ---------------------------------------------------------------------------
-
-/// Kill-shard campaign configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KillShardOptions {
-    /// Campaign seed; trial `t` derives its batch seed from it, and the
-    /// victim shard is drawn from it too.
-    pub seed: u64,
-    /// Number of trials.
-    pub trials: usize,
-    /// Jobs per trial batch.
-    pub jobs: usize,
-    /// Shard processes per trial.
-    pub shards: usize,
-    /// Worker threads per shard process.
-    pub workers: usize,
-    /// Pipeline fault-injection rate passed to every shard (and the
-    /// reference run), exercising takeover under concurrent faults.
-    pub fault_rate: f64,
-    /// The `pcd` binary to spawn shards with.
-    pub pcd_exe: PathBuf,
-    /// Scratch parent directory (defaults to the system temp directory).
-    pub scratch_dir: Option<PathBuf>,
-    /// When set, shards arm the flight recorder here and takeovers dump
-    /// rings.
-    pub flight_dir: Option<PathBuf>,
-}
-
-impl Default for KillShardOptions {
-    fn default() -> Self {
-        KillShardOptions {
-            seed: 42,
-            trials: 2,
-            jobs: 6,
-            shards: 3,
-            workers: 2,
-            fault_rate: 0.25,
-            pcd_exe: PathBuf::from("pcd"),
-            scratch_dir: None,
-            flight_dir: None,
-        }
-    }
-}
-
-/// One kill-shard trial's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KillShardTrialOutcome {
-    /// Trial index.
-    pub trial: usize,
-    /// The shard whose process was SIGKILLed.
-    pub victim: usize,
-    /// Whether the kill actually landed mid-run (a fast victim may seal
-    /// its manifest and exit before the signal).
-    pub killed_mid_run: bool,
-    /// Takeovers visible in the merged lineage.
-    pub takeovers: usize,
-    /// Whether an in-process rescue run was needed after the survivors'
-    /// sweep (no sibling adopted the victim in time).
-    pub rescued: bool,
-    /// Invariant violations (empty = the trial survived).
-    pub violations: Vec<String>,
-}
-
-/// The whole kill-shard campaign's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KillShardReport {
-    /// Per-trial outcomes.
-    pub outcomes: Vec<KillShardTrialOutcome>,
-}
-
-impl KillShardReport {
-    /// Trials that violated an invariant.
-    pub fn failures(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| !o.violations.is_empty())
-            .count()
-    }
-
-    /// Whether every trial upheld every invariant.
-    pub fn survived(&self) -> bool {
-        self.failures() == 0
-    }
-
-    /// Takeovers observed across the campaign.
-    pub fn takeovers(&self) -> usize {
-        self.outcomes.iter().map(|o| o.takeovers).sum()
-    }
-}
-
-/// Runs the kill-shard campaign: per trial, launches `shards` real `pcd
-/// batch --shard-id` subprocesses over a shared checkpoint directory,
-/// SIGKILLs a seeded victim as soon as its lease appears, lets the
-/// survivors' takeover sweep (or an in-process rescue re-run) absorb the
-/// orphaned jobs, merges, and asserts the sealed manifest is bit-identical
-/// to an uninterrupted in-process 1-shard reference — no job lost,
-/// duplicated, or silently degraded.
-pub fn run_kill_shard_chaos(opts: &KillShardOptions) -> KillShardReport {
-    let mut span = obs::span("supervisor.kill_shard_chaos");
-    span.record("trials", opts.trials);
-    span.record("shards", opts.shards);
-
-    let jobs = trial_jobs(opts.jobs.max(1));
-    let mut outcomes = Vec::with_capacity(opts.trials);
-    for trial in 0..opts.trials {
-        let batch_seed = opts
-            .seed
-            .wrapping_add((trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let scratch = opts
-            .scratch_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir)
-            .join(format!("pcd-killshard-{}-{trial}", std::process::id()));
-        let outcome = run_kill_shard_trial(trial, batch_seed, &jobs, &scratch, opts);
-        if !outcome.violations.is_empty() {
-            obs::counter_add("supervisor.chaos_failures", 1);
-        }
-        obs::event!(
-            "supervisor.kill_shard_trial",
-            trial = trial,
-            victim = outcome.victim,
-            killed_mid_run = outcome.killed_mid_run,
-            takeovers = outcome.takeovers,
-            rescued = outcome.rescued,
-            violations = outcome.violations.len()
-        );
-        let _ = std::fs::remove_dir_all(&scratch);
-        outcomes.push(outcome);
-    }
-
-    let report = KillShardReport { outcomes };
-    span.record("failures", report.failures());
-    span.record("takeovers", report.takeovers());
-    report
-}
-
-/// The shard subprocesses are spawned with exactly these flags; this
-/// config mirrors what `pcd batch` builds from them, so the in-process
-/// reference and rescue runs share the determinism keys with the fleet.
-fn kill_shard_config(batch_seed: u64, opts: &KillShardOptions) -> SupervisorConfig {
-    SupervisorConfig {
-        workers: opts.workers.max(1),
-        batch_seed,
-        pipeline_fault_rate: opts.fault_rate,
-        injection: if opts.fault_rate > 0.0 {
-            InjectionPlan::chaos(opts.fault_rate)
-        } else {
-            InjectionPlan::none()
-        },
-        ..SupervisorConfig::default()
-    }
-}
-
-fn run_kill_shard_trial(
-    trial: usize,
-    batch_seed: u64,
-    jobs: &[JobSpec],
-    scratch: &Path,
-    opts: &KillShardOptions,
-) -> KillShardTrialOutcome {
-    let victim = (crate::splitmix64(batch_seed ^ 0xDEAD) % opts.shards.max(1) as u64) as usize;
-    let mut outcome = KillShardTrialOutcome {
-        trial,
-        victim,
-        killed_mid_run: false,
-        takeovers: 0,
-        rescued: false,
-        violations: Vec::new(),
-    };
-    if let Err(v) = kill_shard_trial_inner(batch_seed, jobs, scratch, opts, &mut outcome) {
-        outcome.violations.push(v);
-    }
-    outcome
-}
-
-fn kill_shard_trial_inner(
-    batch_seed: u64,
-    jobs: &[JobSpec],
-    scratch: &Path,
-    opts: &KillShardOptions,
-    outcome: &mut KillShardTrialOutcome,
-) -> Result<(), String> {
-    use crate::lease::Lease;
-    use crate::merge::merge_shards;
-    use crate::shard::{job_shard, run_shard, ShardSpec};
-    use std::process::{Command, Stdio};
-
-    let _ = std::fs::remove_dir_all(scratch);
-    std::fs::create_dir_all(scratch).map_err(|e| format!("scratch dir: {e}"))?;
-    let jobs_path = scratch.join("jobs.jsonl");
-    let text: String = jobs.iter().map(|j| j.to_json_line() + "\n").collect();
-    std::fs::write(&jobs_path, text).map_err(|e| format!("jobs file: {e}"))?;
-
-    // Uninterrupted in-process reference: the sealed manifest every
-    // sharded + killed + merged run must reproduce bit-for-bit.
-    let config = kill_shard_config(batch_seed, opts);
-    let reference = run_batch(jobs, &config).map_err(|e| format!("reference run: {e}"))?;
-    let meta = BatchMeta {
-        batch_seed,
-        jobs: jobs.len(),
-        pipeline_fault_rate: config.pipeline_fault_rate,
-    };
-    let reference_bytes = encode_manifest(&meta, &reference.records).to_bytes();
-
-    // Launch the fleet.
-    let dir = scratch.join("ckpt");
-    let mut children = Vec::new();
-    for shard_id in 0..opts.shards {
-        let mut cmd = Command::new(&opts.pcd_exe);
-        cmd.arg("batch")
-            .arg(&jobs_path)
-            .args(["--workers", &opts.workers.to_string()])
-            .args(["--seed", &batch_seed.to_string()])
-            .args(["--shards", &opts.shards.to_string()])
-            .args(["--shard-id", &shard_id.to_string()])
-            .arg("--checkpoint")
-            .arg(&dir)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        if opts.fault_rate > 0.0 {
-            cmd.args(["--fault-rate", &opts.fault_rate.to_string()]);
-        }
-        if let Some(flight) = &opts.flight_dir {
-            cmd.arg("--flight-dir").arg(flight);
-        }
-        children.push((
-            shard_id,
-            cmd.spawn()
-                .map_err(|e| format!("spawning shard {shard_id}: {e}"))?,
-        ));
-    }
-
-    // SIGKILL the victim the moment its lease appears (i.e. mid-run,
-    // after admission but before its manifest can possibly be sealed...
-    // unless the shard is faster than the poll, which the exit status
-    // below detects).
-    let lease_path = Lease::path(&dir, outcome.victim);
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while !lease_path.exists() && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let mut statuses = Vec::new();
-    for (shard_id, mut child) in children {
-        if shard_id == outcome.victim {
-            let _ = child.kill();
-        }
-        let status = child
-            .wait()
-            .map_err(|e| format!("waiting for shard {shard_id}: {e}"))?;
-        statuses.push((shard_id, status));
-    }
-    let victim_status = statuses
-        .iter()
-        .find(|(s, _)| *s == outcome.victim)
-        .map(|(_, st)| *st)
-        .ok_or_else(|| "victim status missing".to_string())?;
-    // `killed_mid_run` = the signal (or a failure) actually cut the run
-    // short; a victim that beat the poll to completion exits 0.
-    outcome.killed_mid_run = !victim_status.success();
-
-    // First merge: survivors may already have absorbed the victim via
-    // their takeover sweep.
-    let first = match merge_shards(&dir, jobs) {
-        Ok(first) => first,
-        Err(e) => return Err(format!("first merge: {e}")),
-    };
-
-    // Rescue path: whatever is still missing or pending belongs to shards
-    // nobody finished — re-run them in-process (`run_shard` takes the dead
-    // lease over) and merge again. This is the "re-run takeover" flow a
-    // human operator would use: `pcd batch --shards N --shard-id K` again.
-    let rescue_config = SupervisorConfig {
-        ckpt_dir: Some(dir.clone()),
-        flight_dir: opts.flight_dir.clone(),
-        ..config.clone()
-    };
-    let mut unfinished: Vec<usize> = first.missing.clone();
-    unfinished.extend(
-        first
-            .records
-            .iter()
-            .filter(|r| !r.state.is_terminal())
-            .map(|r| r.index),
-    );
-    let mut rescue_shards: Vec<usize> = unfinished
-        .iter()
-        .map(|&i| job_shard(i, opts.shards))
-        .collect();
-    rescue_shards.sort_unstable();
-    rescue_shards.dedup();
-    let merged = if rescue_shards.is_empty() {
-        first
-    } else {
-        outcome.rescued = true;
-        for shard_id in rescue_shards {
-            run_shard(
-                jobs,
-                &rescue_config,
-                ShardSpec {
-                    shards: opts.shards,
-                    shard_id,
-                },
-            )
-            .map_err(|e| format!("rescue of shard {shard_id}: {e}"))?;
-        }
-        merge_shards(&dir, jobs).map_err(|e| format!("post-rescue merge: {e}"))?
-    };
-
-    outcome.takeovers = merged.takeovers().count();
-
-    // The invariants: every job terminal exactly once, bit-identical to
-    // the uninterrupted reference, and a mid-run kill must be visible as
-    // a takeover in the lineage.
-    if merged.records.len() != jobs.len() {
-        outcome.violations.push(format!(
-            "merged {} records for {} jobs",
-            merged.records.len(),
-            jobs.len()
-        ));
-    }
-    if !merged.complete() {
-        outcome
-            .violations
-            .push("merged batch left jobs missing or pending".to_string());
-    }
-    if merged.sealed != reference_bytes {
-        outcome
-            .violations
-            .push("merged batch.manifest differs from the 1-shard reference manifest".to_string());
-    }
-    if outcome.killed_mid_run && !merged.quarantined.is_empty() {
-        // A torn victim manifest is quarantined, then the rescue re-seals
-        // it — reaching here with a quarantine AND a clean merge is fine,
-        // so this is informational, not a violation.
-        obs::counter_add("supervisor.kill_shard_torn_manifests", 1);
-    }
-    if outcome.killed_mid_run && outcome.takeovers == 0 && !victim_manifest_sealed(&dir, outcome) {
-        outcome.violations.push(format!(
-            "victim shard {} was killed mid-run but no takeover is recorded",
-            outcome.victim
-        ));
-    }
-    Ok(())
-}
-
-/// Whether the victim sealed its own manifest despite the kill (it raced
-/// past the lease poll): then no takeover is required.
-fn victim_manifest_sealed(dir: &Path, outcome: &KillShardTrialOutcome) -> bool {
-    let path = crate::shard::shard_manifest_path(dir, outcome.victim);
-    Checkpoint::read(&path)
-        .ok()
-        .and_then(|ck| crate::shard::decode_shard_manifest(&ck).ok())
-        .is_some_and(|(meta, _)| meta.taken_over_from.is_none())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resilience::chaos::{Campaign, Report};
+
+    fn supervised(trials: usize, fault_rate: f64) -> Report {
+        let driver = BatchChaos {
+            jobs: 4,
+            fault_rate,
+            ..BatchChaos::default()
+        };
+        Campaign::new("supervised-test", 42, trials)
+            .run(|t, seed, dir| driver.supervised_trial(t, seed, dir))
+    }
 
     #[test]
     fn small_campaign_survives() {
-        let opts = SupervisedChaosOptions {
-            trials: 3,
-            jobs: 4,
-            fault_rate: 0.3,
-            ..SupervisedChaosOptions::default()
-        };
-        let report = run_supervised_chaos(&opts);
+        let report = supervised(3, 0.3);
         assert_eq!(report.outcomes.len(), 3);
-        for outcome in &report.outcomes {
+        for (trial, outcome) in report.outcomes.iter().enumerate() {
             assert!(
                 outcome.violations.is_empty(),
-                "trial {} violations: {:?}",
-                outcome.trial,
+                "trial {trial} violations: {:?}",
                 outcome.violations
             );
         }
@@ -682,16 +571,9 @@ mod tests {
 
     #[test]
     fn shed_trials_actually_shed() {
-        let opts = SupervisedChaosOptions {
-            trials: 3,
-            jobs: 4,
-            fault_rate: 0.0,
-            check_drain: false,
-            ..SupervisedChaosOptions::default()
-        };
-        let report = run_supervised_chaos(&opts);
+        let report = supervised(3, 0.0);
         // Trial 2 undersizes the queue by one.
-        assert_eq!(report.outcomes[2].shed, 1);
+        assert_eq!(report.outcomes[2].count("jobs_shed"), 1);
         assert!(report.survived());
     }
 }

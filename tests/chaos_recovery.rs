@@ -7,7 +7,8 @@
 
 use std::sync::Mutex;
 
-use pauli_codesign::resilience::{run_chaos, ChaosOptions, FaultKind, FaultPlan};
+use pauli_codesign::resilience::chaos::{Campaign, PipelineChaos};
+use pauli_codesign::resilience::{FaultKind, FaultPlan};
 
 /// The obs registry is process-global; serialize the tests in this binary.
 static GATE: Mutex<()> = Mutex::new(());
@@ -17,23 +18,22 @@ fn h2_pipeline_survives_ten_percent_faults_with_full_obs_audit() {
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     obs::reset();
     obs::enable();
-    let report = run_chaos(&ChaosOptions {
-        seed: 42,
+    let driver = PipelineChaos {
         fault_rate: 0.1,
-        trials: 40,
         ..Default::default()
-    });
+    };
+    let report = Campaign::new("pipeline", 42, 40).run(|t, seed, _| driver.trial(t, seed));
     obs::disable();
     let snap = obs::snapshot();
 
     // Every trial completed, with faults actually injected and at least
     // one recovery from each policy class.
-    assert!(report.survived(), "failures: {}", report.failures);
-    assert!(report.faults_injected > 0, "plan injected nothing at 10%");
+    assert!(report.survived(), "failures: {}", report.failures());
+    assert!(report.faults_injected() > 0, "plan injected nothing at 10%");
     assert!(
         report.all_policy_classes_recovered(),
         "recovered_by_class: {:?}",
-        report.recovered_by_class
+        report.recovered_by_class()
     );
 
     // The obs counter agrees with the report's injection count.
@@ -42,7 +42,7 @@ fn h2_pipeline_survives_ten_percent_faults_with_full_obs_audit() {
         .get("resilience.faults_injected")
         .copied()
         .unwrap_or(0);
-    assert_eq!(injected_counter as usize, report.faults_injected);
+    assert_eq!(injected_counter as usize, report.faults_injected());
 
     // Every injected fault has a `resilience.fault` event naming its site.
     let fault_events: Vec<_> = snap
@@ -50,7 +50,7 @@ fn h2_pipeline_survives_ten_percent_faults_with_full_obs_audit() {
         .iter()
         .filter(|e| e.name == "resilience.fault")
         .collect();
-    assert_eq!(fault_events.len(), report.faults_injected);
+    assert_eq!(fault_events.len(), report.faults_injected());
     let event_sites: Vec<&str> = fault_events
         .iter()
         .map(|e| {
@@ -121,14 +121,13 @@ fn h2_pipeline_survives_ten_percent_faults_with_full_obs_audit() {
 fn chaos_replay_is_deterministic_across_runs() {
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     obs::reset();
-    let opts = ChaosOptions {
-        seed: 7,
+    let driver = PipelineChaos {
         fault_rate: 0.2,
-        trials: 8,
         ..Default::default()
     };
-    let a = run_chaos(&opts);
-    let b = run_chaos(&opts);
+    let campaign = Campaign::new("pipeline", 7, 8);
+    let a = campaign.run(|t, seed, _| driver.trial(t, seed));
+    let b = campaign.run(|t, seed, _| driver.trial(t, seed));
     assert_eq!(a, b, "same seed must replay the identical chaos run");
 }
 
