@@ -216,10 +216,21 @@ impl MolecularSystem {
         self.hf_bitmask
     }
 
-    /// Exact ground-state energy of the active-space Hamiltonian (Lanczos) —
-    /// the paper's "Ground State" reference.
+    /// The paper's "Ground State" reference: (N/2, N/2)-sector FCI, the
+    /// lowest eigenvalue of the active-space Hamiltonian over the
+    /// determinants with N/2 α and N/2 β electrons. That is the energy the
+    /// number- and S_z-conserving UCCSD ansatz aims at; the whole-Fock-space
+    /// minimum ([`WeightedPauliSum::ground_state_energy`]) can lie in another
+    /// electron-number sector. Lanczos runs matrix-free over the
+    /// C(n/2, N/2)² sector states inside a `chem.exact_reference` span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the Hamiltonian couples the sector to any state outside
+    /// it (the Jordan–Wigner Hamiltonians built here never do).
     pub fn exact_ground_state_energy(&self) -> f64 {
-        self.hamiltonian.ground_state_energy()
+        let per_spin = self.num_active_electrons / 2;
+        crate::sector::ground_state_energy(&self.hamiltonian, per_spin, per_spin)
     }
 }
 

@@ -19,6 +19,9 @@
 //!    and active-space metadata;
 //! 8. [`molecules`] — the paper's Table I benchmark set.
 //!
+//! [`MolecularSystem::exact_ground_state_energy`] is the exact reference:
+//! full CI in the (N/2, N/2) determinant sector of the active space.
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -27,7 +30,7 @@
 //! // H2 at its equilibrium bond length: a 4-qubit Hamiltonian.
 //! let system = Benchmark::H2.build(0.74)?;
 //! assert_eq!(system.num_qubits(), 4);
-//! let e = system.qubit_hamiltonian().ground_state_energy();
+//! let e = system.exact_ground_state_energy();
 //! assert!(e < -1.0); // Hartree
 //! # Ok::<(), chem::ChemError>(())
 //! ```
@@ -48,6 +51,7 @@ pub mod mo;
 pub mod molecules;
 pub mod properties;
 pub mod scf;
+mod sector;
 
 pub use element::Element;
 pub use geometry::{Atom, Molecule};

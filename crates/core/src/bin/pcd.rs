@@ -2293,10 +2293,13 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
     let parallel = criterion::measure(warmup, samples, || sv.expectation(&h));
     pair(&mut records, "expectation", n_qubits, serial, parallel);
 
-    // Cluster-diagonalized expectation on the same Hamiltonian and state.
-    // The partition build is measured inside the closure — it is a
+    // Cluster-diagonalized expectation on the same Hamiltonian and state,
+    // at one thread like the serial sweep it is gated against. The
+    // partition build is measured inside the closure — it is a
     // per-Hamiltonian cost a caller pays once, dwarfed by the sweeps.
-    let clustered = criterion::measure(warmup, samples, || sv.expectation_clustered(&h));
+    let clustered = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || sv.expectation_clustered(&h))
+    });
     let cluster_stats = pauli_codesign::pauli::ClusteredSum::build(&h).stats();
     println!(
         "{:<28} {:>14} {:>14} {:>8.2}x",
@@ -2309,12 +2312,13 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
     records.push(BenchRecord {
         name: "expectation_clustered".to_string(),
         median_ns: clustered_ns,
-        threads,
+        threads: 1,
         n_qubits,
     });
     // In-bench gate: the whole point of the clustered evaluator is to beat
-    // the per-term serial sweep on this Hamiltonian. Falling behind it is
-    // a regression regardless of any --baseline file.
+    // the per-term serial sweep on this Hamiltonian at equal thread
+    // counts. Falling behind it is a regression regardless of any
+    // --baseline file.
     if clustered_ns >= serial_expectation_ns {
         return Err(CliError::BenchRegression(vec![format!(
             "expectation_clustered: {clustered_ns} ns not faster than expectation_serial \

@@ -219,7 +219,8 @@ impl CoDesignPipeline {
 pub struct CoDesignReport {
     /// VQE energy (Hartree).
     pub energy: f64,
-    /// Exact (Lanczos) ground-state energy of the active space.
+    /// Exact reference: (N/2, N/2)-sector FCI energy of the active space
+    /// ([`chem::MolecularSystem::exact_ground_state_energy`]).
     pub exact_energy: f64,
     /// Hartree-Fock reference energy.
     pub hartree_fock_energy: f64,

@@ -1,11 +1,11 @@
 //! Lanczos ground-state solver for implicit Hermitian operators.
 //!
 //! The paper's reference energies ("Ground State" in Fig 9) are the lowest
-//! eigenvalues of molecular qubit Hamiltonians — Hermitian operators on up
-//! to 2¹⁶-dimensional spaces. Those are far too large for dense
-//! diagonalization, but the operator is available as a fast matrix-vector
-//! product (a sum of Pauli-string actions), which is exactly the Lanczos
-//! access pattern.
+//! eigenvalues of molecular qubit Hamiltonians restricted to the N-electron
+//! determinant sector — thousands of states for CH₄, up to 2¹⁶ for a
+//! whole-Fock-space solve. Those are too large for dense diagonalization,
+//! but the operator is available as a fast matrix-vector product (a sum of
+//! Pauli-string actions), which is exactly the Lanczos access pattern.
 //!
 //! Full reorthogonalization is used: subspace dimensions stay small (≤ a few
 //! hundred), so the O(k²·n) cost is negligible next to the matvec and it

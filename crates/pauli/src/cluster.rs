@@ -542,7 +542,7 @@ impl FusedEval {
     /// `Σ_m w_m·⟨ψ|P_m|ψ⟩` for every member at once: rotate `ψ` into the
     /// diagonal frame (gather and phase fused into one pass, then
     /// butterflies) and read all member expectations from one probability
-    /// sweep. Inner loops are branchless — the phase rotation multiplies
+    /// vector. Inner loops are branchless — the phase rotation multiplies
     /// by a 4-entry `i^e` table and the readout flips the sign bit
     /// directly — because `e` and the member parities are effectively
     /// random and a conditional would mispredict half the time.
@@ -619,17 +619,40 @@ impl FusedEval {
             }
         }
 
-        // Readout: every member from one probability sweep, sign applied
-        // by XOR-ing the parity into the f64 sign bit.
-        let mut acc = vec![0.0f64; self.diag.len()];
-        for (b, a) in buf.iter().enumerate() {
-            let p = a.norm_sqr().to_bits();
-            for (s, &(zm, _)) in acc.iter_mut().zip(&self.diag) {
-                let parity = (u64::from((b as u64 & zm).count_ones()) & 1) << 63;
-                *s += f64::from_bits(p ^ parity);
+        // Readout: `Σ_b (−1)^{|b∧z|}·|φ_b|²` per member. The parity splits
+        // over the index halves, so each member tabulates its low-half
+        // signs once (as f64 sign-bit masks) and every block of 2^lo_bits
+        // probabilities becomes a popcount-free masked sum over four fixed
+        // lanes; the block's high-half parity then flips the block sum.
+        let probs: Vec<f64> = buf.iter().map(|a| a.norm_sqr()).collect();
+        let block = lo_mask + 1;
+        let mut signs = vec![0u64; block];
+        let mut total = 0.0;
+        for &(zm, c) in &self.diag {
+            for (lo, s) in signs.iter_mut().enumerate() {
+                *s = u64::from((lo as u64 & zm).count_ones() & 1) << 63;
             }
+            let mut acc = 0.0;
+            for (hi, chunk) in probs.chunks_exact(block).enumerate() {
+                let quads = chunk.chunks_exact(4);
+                let tail = quads.remainder();
+                let mut lanes = [0.0f64; 4];
+                for (p4, s4) in quads.zip(signs.chunks_exact(4)) {
+                    for ((lane, p), s) in lanes.iter_mut().zip(p4).zip(s4) {
+                        *lane += f64::from_bits(p.to_bits() ^ s);
+                    }
+                }
+                let mut sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+                for (p, s) in tail.iter().zip(&signs[block - tail.len()..]) {
+                    sum += f64::from_bits(p.to_bits() ^ s);
+                }
+                let hi_parity =
+                    u64::from(((hi << self.lo_bits) as u64 & zm).count_ones() & 1) << 63;
+                acc += f64::from_bits(sum.to_bits() ^ hi_parity);
+            }
+            total += c * acc;
         }
-        self.diag.iter().zip(&acc).map(|(&(_, c), &s)| c * s).sum()
+        total
     }
 }
 

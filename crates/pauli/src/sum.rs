@@ -3,7 +3,7 @@
 //! A molecular Hamiltonian after Jordan–Wigner encoding is exactly such a sum
 //! `H = Σ_j w_j P_j` (paper §II-A). This module provides the container plus
 //! the numerics the evaluation needs: statevector action, expectation values,
-//! and exact ground-state energies through the Lanczos solver.
+//! and whole-Fock-space eigenvalues through the Lanczos solver.
 
 use std::fmt;
 use std::ops::Index;
@@ -305,10 +305,13 @@ impl WeightedPauliSum {
         (e2 - e * e).max(0.0)
     }
 
-    /// Exact smallest eigenvalue (ground-state energy) via Lanczos.
+    /// The smallest eigenvalue over the whole `2^n`-dimensional Fock
+    /// space, via Lanczos (deterministic: fixed options and start seed).
     ///
-    /// This regenerates the paper's "Ground State" reference curves. The
-    /// computation is deterministic for a given `seed`.
+    /// For a molecular Hamiltonian this minimum may lie in any
+    /// electron-number sector, so it is not the paper's "Ground State"
+    /// reference; that is `chem::MolecularSystem::exact_ground_state_energy`,
+    /// the N-electron sector minimum.
     pub fn ground_state_energy(&self) -> f64 {
         let dim = checked_dim(self.num_qubits);
         let r = lanczos_ground_state(
@@ -320,7 +323,9 @@ impl WeightedPauliSum {
         r.eigenvalue
     }
 
-    /// Exact ground state energy *and* normalized eigenvector.
+    /// The whole-Fock-space minimum of
+    /// [`ground_state_energy`](Self::ground_state_energy) *and* its
+    /// normalized eigenvector.
     pub fn ground_state(&self) -> (f64, Vec<Complex64>) {
         let dim = checked_dim(self.num_qubits);
         let (r, v) = numeric::lanczos_ground_state_with_vector(
@@ -335,7 +340,8 @@ impl WeightedPauliSum {
         (r.eigenvalue, v)
     }
 
-    /// The `k` lowest eigenvalues via Lanczos with deflation: each found
+    /// The `k` lowest eigenvalues over the whole Fock space (every
+    /// electron-number sector), via Lanczos with deflation: each found
     /// eigenvector is projected up by a large shift before the next solve.
     ///
     /// Degenerate eigenvalues are returned once per copy (the deflated

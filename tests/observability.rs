@@ -35,6 +35,7 @@ fn pipeline_run_emits_spans_for_every_stage() {
         "pipeline.compile",
         "chem.scf",
         "chem.encode",
+        "chem.exact_reference",
         "ansatz.importance",
         "ansatz.compress",
         "compiler.layout.hierarchical",
@@ -60,6 +61,7 @@ fn pipeline_run_emits_spans_for_every_stage() {
         "pipeline.ansatz",
         "pipeline.vqe",
         "pipeline.compile",
+        "chem.exact_reference",
     ] {
         assert_eq!(
             snap.span(stage).unwrap().parent.as_deref(),
@@ -115,6 +117,20 @@ fn pipeline_run_emits_spans_for_every_stage() {
         .and_then(obs::Value::as_f64)
         .unwrap();
     assert!((last_energy - report.vqe.trace.last().unwrap()).abs() < 1e-12);
+
+    // The exact reference runs in the (1, 1) determinant sector of H2's
+    // 4 qubits: C(2,1)² = 4 states.
+    let exact = snap
+        .span("chem.exact_reference")
+        .expect("chem.exact_reference span");
+    assert_eq!(
+        exact.field("sector_dim").and_then(obs::Value::as_u64),
+        Some(4)
+    );
+    assert!(exact
+        .field("iterations")
+        .and_then(obs::Value::as_u64)
+        .is_some_and(|n| (1..=4).contains(&n)));
 
     // SCF produced per-iteration convergence events.
     let scf_iters = snap
