@@ -19,14 +19,15 @@
 //! saved, and a drained `pcd serve` with its restart state sealed) ·
 //! `31` checkpoint unreadable or corrupt (also a sealed serve manifest
 //! that belongs to a different configuration) · `32` batch finished but
-//! degraded (jobs quarantined or shed) · `33` `batch merge` record
-//! conflict or batch-identity mismatch · `34` `report --strict` found
+//! degraded (jobs quarantined or shed) · `33` a coordinated batch's
+//! shard merge found a record conflict or batch-identity mismatch · `34`
+//! `report --strict` found
 //! warnings · `35` serve transport failure (socket or state-dir I/O).
 //! Codes 10–14 and 30–31 follow [`PcdError::exit_code`].
 
 use std::path::PathBuf;
-use std::process::ExitCode;
-use std::time::Duration;
+use std::process::{Child, Command, ExitCode, Stdio};
+use std::time::{Duration, Instant};
 
 use pauli_codesign::ansatz::compress;
 use pauli_codesign::ansatz::uccsd::UccsdAnsatz;
@@ -47,9 +48,9 @@ use pauli_codesign::resilience::{
 };
 use pauli_codesign::serve::{run_serve, ServeChaos, ServeConfig, ServeError};
 use pauli_codesign::supervisor::{
-    merge_shards, parse_jobs, run_batch_resumed, run_shard, run_worker, BatchChaos, BatchReport,
-    Coordinator, CoordinatorOptions, InjectionPlan, JobState, MergeError, RemoteError, ShardSpec,
-    ShedPolicy, SupervisorConfig, SupervisorError, WorkerOptions,
+    parse_jobs, run_batch_resumed, run_worker, BatchChaos, BatchReport, Coordinator,
+    CoordinatorOptions, InjectionPlan, JobSpec, JobState, RemoteError, ShedPolicy,
+    SupervisorConfig, SupervisorError, WorkerOptions,
 };
 use pauli_codesign::vqe::driver::{
     run_vqe, run_vqe_resumable, ExpectationStrategy, VqeOptions, VqeResult, VqeRun,
@@ -86,9 +87,6 @@ enum CliError {
         /// Jobs shed by admission control.
         shed: usize,
     },
-    /// `batch merge` hit a record conflict or a batch-identity mismatch
-    /// (quarantinable corruption does NOT land here — it degrades).
-    MergeFailed(MergeError),
     /// `report --strict` found warnings (corrupt/unreadable artifacts).
     ReportStrict {
         /// Warnings the report collected.
@@ -106,8 +104,9 @@ enum CliError {
     Serve(ServeError),
     /// A net coordinator or worker failed: transport exhaustion is
     /// resumable (exit 36, any partial progress sealed locally), a
-    /// protocol mismatch is operator error (exit 37), and a supervisor
-    /// failure inside granted jobs keeps the batch taxonomy.
+    /// protocol mismatch is operator error (exit 37), a failed shard
+    /// merge is a determinism or batch-identity violation (exit 33), and
+    /// a supervisor failure inside granted jobs keeps the batch taxonomy.
     Remote(RemoteError),
 }
 
@@ -124,8 +123,9 @@ const EXIT_BATCH_DRAINED: u8 = 30;
 /// Exit code for a batch that completed with quarantined or shed jobs.
 const EXIT_BATCH_DEGRADED: u8 = 32;
 
-/// Exit code for a manifest merge that found conflicting records or a
-/// batch-identity mismatch (determinism-contract violation).
+/// Exit code for a coordinated batch whose shard merge found conflicting
+/// records or a batch-identity mismatch (determinism-contract violation,
+/// or a foreign shard manifest in the checkpoint directory).
 const EXIT_MERGE_CONFLICT: u8 = 33;
 
 /// Exit code for `report --strict` when the report carries warnings.
@@ -158,13 +158,13 @@ impl CliError {
             CliError::Batch(_) => 31,
             CliError::BatchDrained { .. } => EXIT_BATCH_DRAINED,
             CliError::BatchDegraded { .. } => EXIT_BATCH_DEGRADED,
-            CliError::MergeFailed(_) => EXIT_MERGE_CONFLICT,
             CliError::ReportStrict { .. } => EXIT_REPORT_STRICT,
             CliError::ServeDrained { .. } => EXIT_BATCH_DRAINED,
             CliError::Serve(ServeError::Io { .. }) => EXIT_SERVE_TRANSPORT,
             CliError::Serve(_) => 31,
             CliError::Remote(RemoteError::TransportLost(_)) => EXIT_NET_TRANSPORT,
             CliError::Remote(RemoteError::Protocol(_)) => EXIT_NET_PROTOCOL,
+            CliError::Remote(RemoteError::Merge(_)) => EXIT_MERGE_CONFLICT,
             CliError::Remote(RemoteError::Supervisor(SupervisorError::Spec(_))) => 1,
             CliError::Remote(RemoteError::Supervisor(_)) => 31,
         }
@@ -199,7 +199,6 @@ impl std::fmt::Display for CliError {
                 f,
                 "batch degraded: {quarantined} job(s) quarantined, {shed} shed"
             ),
-            CliError::MergeFailed(e) => write!(f, "{e}"),
             CliError::ReportStrict { warnings } => {
                 write!(f, "report --strict: {warnings} warning(s) in the evidence")
             }
@@ -324,12 +323,6 @@ commands:
                                       worker-count invariant, a drained
                                       batch resumes bit-identically (20
                                       trials, fault rate 25%)
-    --kill-shard [--shards N]         real sharded pcd batch subprocesses
-                                      (--workers threads each), a seeded
-                                      victim SIGKILLed mid-batch; takeover
-                                      or a rescue re-run plus merge must
-                                      seal a batch.manifest bit-identical
-                                      to the 1-shard reference (2 trials)
     --net [--threads N] [--net-fault-rate R]
                                       --workers real pcd batch --connect
                                       workers (--threads each) reach an
@@ -340,7 +333,9 @@ commands:
                                       seeded victim SIGKILLed while it
                                       holds a grant; the sealed
                                       batch.manifest must equal the
-                                      single-machine reference (2 trials)
+                                      single-machine reference (2 trials;
+                                      --net-fault-rate 0 leaves just the
+                                      kill)
     --serve [--requests N]            --trials kill/corrupt/disconnect
                                       storms against in-process daemons,
                                       then one trial against a real pcd
@@ -368,19 +363,26 @@ commands:
                                       recorder so quarantines, deadline
                                       expiries, and faults dump
                                       flight-<job>.jsonl rings there
-  batch <JOBS.jsonl> --shards N --shard-id K --checkpoint DIR [...]
-                                      run one shard of a batch (jobs with
-                                      index % N == K): heartbeats a lease,
-                                      seals shard-K.manifest, and adopts
-                                      dead sibling shards after finishing;
-                                      rerunning the same shard resumes or
-                                      takes over automatically (exit 31 if
-                                      a live process holds the lease)
+  batch <JOBS.jsonl> --shards N --checkpoint DIR [...]
+                                      run the batch as N shards on this
+                                      host: the --listen coordinator below
+                                      on 127.0.0.1:0 plus N local
+                                      `batch --connect` worker processes
+                                      (--workers threads each); exit codes
+                                      as for a single-process batch, plus
+                                      33 when the shard merge finds a
+                                      record conflict or another batch's
+                                      shard manifest in DIR; --resume,
+                                      --deadline, and --drain-after-ticks
+                                      are rejected here and with --listen
+                                      (a coordinated batch runs to
+                                      completion)
   batch <JOBS.jsonl> --listen ADDR --shards N --checkpoint DIR
         [--lease-ms MS] [--heartbeat-ms MS] [--net-deadline SECS]
         [--no-rescue]
                                       coordinate a multi-machine batch
-                                      over TCP: workers connect with
+                                      over TCP (the lease flags apply to
+                                      --shards too): workers connect with
                                       `batch --connect`, claim shards
                                       under monotonic lease epochs, and
                                       stream records back (CRC-framed,
@@ -390,9 +392,12 @@ commands:
                                       the whole fleet dies the
                                       coordinator finishes unfinished
                                       shards in-process (unless
-                                      --no-rescue); seals the same
-                                      batch.manifest a single-machine
-                                      run would, bit for bit
+                                      --no-rescue); workers run under the
+                                      coordinator's supervisor flags;
+                                      seals shard-<id>.manifest per shard,
+                                      merge.lineage, and the same
+                                      batch.manifest a single-process run
+                                      would, bit for bit
   batch --connect ADDR [--worker-id NAME] [--workers N] [--local-dir DIR]
         [--max-reconnects K] [--backoff-ms B]
                                       join a coordinated batch as a
@@ -410,15 +415,6 @@ commands:
                                       worker exits 36 (resumable — rerun
                                       the same command); version skew
                                       exits 37
-  batch merge <JOBS.jsonl> --checkpoint DIR
-                                      union the shard manifests in DIR into
-                                      a sealed batch.manifest (bit-identical
-                                      to a 1-shard run when complete) plus
-                                      merge.lineage provenance; corrupt
-                                      shard manifests are quarantined
-                                      aside; exit 30 if jobs are missing or
-                                      pending (resumable), 33 on a record
-                                      conflict or batch-identity mismatch
   serve [--state-dir DIR] [--socket PATH] [--workers N] [--seed N]
         [--queue-cap Q] [--shed reject-new|drop-oldest] [--max-retries K]
         [--slice-ticks T] [--max-slices M] [--breaker N] [--fault-rate R]
@@ -509,8 +505,33 @@ observability (any command):
 
 molecules: H2 LiH NaH HF BeH2 H2O BH3 NH3 CH4";
 
+/// Flags whose machinery is gone, with what replaces them. Unknown flags
+/// are otherwise ignored, so these fail loudly rather than quietly run
+/// something else (a batch would run every shard, not the one asked for).
+const RETIRED_FLAGS: [(&str, &str, &str); 2] = [
+    (
+        "batch",
+        "--shard-id",
+        "`batch --shards N` runs all N shards under one loopback coordinator \
+         (add remote workers with --listen and `batch --connect`)",
+    ),
+    (
+        "chaos",
+        "--kill-shard",
+        "`chaos --net --net-fault-rate 0` SIGKILLs a worker of the one \
+         multi-process protocol",
+    ),
+];
+
 fn run(args: &[String]) -> Result<(), CliError> {
     let command = args.first().map(String::as_str).unwrap_or("help");
+    for (retired_in, flag, replacement) in RETIRED_FLAGS {
+        if command == retired_in && args.iter().any(|a| a == flag) {
+            return Err(CliError::Usage(format!(
+                "{flag} was removed: {replacement}"
+            )));
+        }
+    }
     let flags = parse_flags(args.get(1..).unwrap_or(&[]))?;
 
     let trace_path = flags.get("trace").map(str::to_string);
@@ -577,7 +598,6 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "resume",
     "kill-resume",
     "supervised",
-    "kill-shard",
     "serve",
     "net",
     "no-rescue",
@@ -1182,7 +1202,7 @@ fn cmd_yield(flags: &Flags) -> Result<(), CliError> {
 /// mode's driver through the one campaign runner, and prints the report
 /// through [`finish_campaign`].
 fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
-    let mode = ["kill-resume", "supervised", "kill-shard", "net", "serve"]
+    let mode = ["kill-resume", "supervised", "net", "serve"]
         .into_iter()
         .find(|mode| flags.is_set(mode))
         .unwrap_or("pipeline");
@@ -1312,40 +1332,6 @@ fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
                 flight_dir.as_deref(),
                 "every job in exactly one terminal state, records worker-count \
                  invariant, drain/resume bit-identical",
-            )
-        }
-        "kill-shard" => {
-            let shards = flags.get_usize("shards", 3)?;
-            if shards < 2 {
-                return Err(CliError::Usage(
-                    "--kill-shard needs --shards of at least 2 (someone must survive)".to_string(),
-                ));
-            }
-            let driver = BatchChaos {
-                jobs,
-                workers: workers.max(1),
-                fleet: shards,
-                fault_rate,
-                pcd_exe: pcd_exe()?,
-                flight_dir: flight_dir.clone(),
-                ..BatchChaos::default()
-            };
-            let report = campaign.run(|_, s, dir| driver.kill_shard_trial(s, dir));
-            finish_campaign(
-                &format!(
-                    "chaos --kill-shard: {trials} trials × {jobs} jobs over {shards} shards, \
-                     fault rate {:.0}%, seed {seed}",
-                    fault_rate * 100.0
-                ),
-                &report,
-                &[
-                    "supervisor.takeovers",
-                    "supervisor.shards",
-                    "supervisor.lease_write_failures",
-                ],
-                flight_dir.as_deref(),
-                "every merged batch.manifest bit-identical to the 1-shard reference; \
-                 no job lost, duplicated, or silently degraded",
             )
         }
         "net" => {
@@ -1574,7 +1560,9 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-fn print_batch_report(report: &BatchReport) {
+/// Prints the per-job table and the totals, and maps them to the batch
+/// exit taxonomy: drained (30) before degraded (32) before success.
+fn finish_batch(report: &BatchReport) -> Result<(), CliError> {
     println!(
         "{:<4} {:<14} {:<12} {:>12} {:>8}  detail",
         "#", "job", "state", "energy", "retries"
@@ -1626,128 +1614,24 @@ fn print_batch_report(report: &BatchReport) {
         report.shed(),
         report.pending()
     );
-}
-
-fn print_shard_report(report: &pauli_codesign::supervisor::ShardRunReport) {
-    match &report.taken_over_from {
-        Some(from) => println!(
-            "shard {}/{}: epoch {} (took over from {from})",
-            report.shard_id, report.shards, report.epoch
-        ),
-        None => println!(
-            "shard {}/{}: epoch {}",
-            report.shard_id, report.shards, report.epoch
-        ),
+    if report.pending() > 0 {
+        return Err(CliError::BatchDrained {
+            pending: report.pending(),
+        });
     }
-    println!("  own records      : {}", report.records.len());
-    for takeover in &report.takeovers {
-        println!(
-            "  took over shard {} from {} at epoch {} ({} records)",
-            takeover.shard_id,
-            takeover.from,
-            takeover.epoch,
-            takeover.records.len()
-        );
-    }
-    println!(
-        "shard: {} done, {} quarantined, {} shed, {} pending",
-        report.done(),
-        report.quarantined(),
-        report.shed(),
-        report.pending()
-    );
-}
-
-/// `pcd batch merge JOBS.jsonl --checkpoint DIR`: union the shard
-/// manifests in DIR into a sealed `batch.manifest` (bit-identical to a
-/// 1-shard run when complete) plus a `merge.lineage` provenance record.
-fn cmd_batch_merge(flags: &Flags) -> Result<(), CliError> {
-    let jobs_path = flags
-        .positional
-        .get(1)
-        .ok_or_else(|| CliError::Usage("batch merge needs a JOBS.jsonl file".to_string()))?;
-    let text = std::fs::read_to_string(jobs_path)
-        .map_err(|e| CliError::Usage(format!("reading {jobs_path}: {e}")))?;
-    let jobs = parse_jobs(&text).map_err(CliError::Usage)?;
-    let dir = flags
-        .get("checkpoint")
-        .map(std::path::PathBuf::from)
-        .ok_or_else(|| CliError::Usage("batch merge needs --checkpoint DIR".to_string()))?;
-
-    let outcome = merge_shards(&dir, &jobs).map_err(|e| match e {
-        MergeError::Conflict { .. } | MergeError::MetaMismatch(_) => CliError::MergeFailed(e),
-        MergeError::NoShards(dir) => CliError::Usage(format!("no shard manifests found in {dir}")),
-        MergeError::Io { path, message } => CliError::Batch(SupervisorError::Io { path, message }),
-    })?;
-
-    println!(
-        "merge: {} shard manifest(s) → {}",
-        outcome.shards.len(),
-        outcome.sealed_path.display()
-    );
-    for shard in &outcome.shards {
-        match &shard.taken_over_from {
-            Some(from) => println!(
-                "  shard {} : {} records, epoch {}, owner {} (took over from {from})",
-                shard.shard_id, shard.records, shard.epoch, shard.owner
-            ),
-            None => println!(
-                "  shard {} : {} records, epoch {}, owner {}",
-                shard.shard_id, shard.records, shard.epoch, shard.owner
-            ),
-        }
-    }
-    for (path, reason) in &outcome.quarantined {
-        eprintln!("  quarantined {} : {reason}", path.display());
-    }
-    if outcome.duplicates_deduped > 0 {
-        println!(
-            "  deduplicated {} bit-identical takeover record(s)",
-            outcome.duplicates_deduped
-        );
-    }
-    let pending = outcome
-        .records
-        .iter()
-        .filter(|r| !r.state.is_terminal())
-        .count();
-    let quarantined_jobs = outcome
-        .records
-        .iter()
-        .filter(|r| r.state.label() == "quarantined")
-        .count();
-    let shed_jobs = outcome
-        .records
-        .iter()
-        .filter(|r| r.state.label() == "shed")
-        .count();
-    println!(
-        "merge: {} job(s) total, {} pending, {} missing (lineage in {})",
-        outcome.records.len(),
-        pending,
-        outcome.missing.len(),
-        dir.join("merge.lineage").display()
-    );
-    if pending > 0 {
-        // The sealed union is exactly a drained manifest: finish it with
-        // `pcd batch --resume`, or rerun the dead shards.
-        return Err(CliError::BatchDrained { pending });
-    }
-    if quarantined_jobs + shed_jobs > 0 {
+    if report.quarantined() + report.shed() > 0 {
         return Err(CliError::BatchDegraded {
-            quarantined: quarantined_jobs,
-            shed: shed_jobs,
+            quarantined: report.quarantined(),
+            shed: report.shed(),
         });
     }
     Ok(())
 }
 
 fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
-    if flags.positional.first().map(String::as_str) == Some("merge") {
-        return cmd_batch_merge(flags);
-    }
     // Worker mode has no jobs file: the batch identity (jobs, seed,
-    // fault rate) arrives over the wire in the coordinator's welcome.
+    // fault rate, supervisor config) arrives over the wire in the
+    // coordinator's welcome.
     if flags.is_set("connect") {
         return cmd_batch_worker(flags);
     }
@@ -1823,39 +1707,18 @@ fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
     config.progress_interval = Some(Duration::from_millis(interval_ms));
     config.progress_stderr = flags.is_set("progress");
 
-    // Coordinator mode: serve the batch to TCP workers. Checked before
-    // the sharded gate because a coordinator also takes --shards.
-    if flags.is_set("listen") {
+    // Coordinator mode: serve the batch to TCP workers, remote ones
+    // (--listen) or N local child processes (--shards).
+    if flags.is_set("listen") || flags.is_set("shards") {
+        for flag in ["resume", "deadline", "drain-after-ticks"] {
+            if flags.is_set(flag) {
+                return Err(CliError::Usage(format!(
+                    "--{flag} does not apply with --shards or --listen: a coordinated batch \
+                     runs every job to completion (bound it with --net-deadline)"
+                )));
+            }
+        }
         return cmd_batch_coordinator(flags, &jobs, &config);
-    }
-
-    // Sharded execution: this process runs only `index % shards ==
-    // shard-id` and seals shard-<id>.manifest. A re-run of the same shard
-    // resumes (or takes over) automatically — no --resume needed.
-    if flags.is_set("shards") || flags.is_set("shard-id") {
-        if flags.is_set("resume") {
-            return Err(CliError::Usage(
-                "--resume is implicit for sharded runs: rerun the same --shard-id".to_string(),
-            ));
-        }
-        let spec = ShardSpec {
-            shards: flags.get_usize("shards", 1)?,
-            shard_id: flags.get_usize("shard-id", 0)?,
-        };
-        let report = run_shard(&jobs, &config, spec)?;
-        print_shard_report(&report);
-        if report.pending() > 0 {
-            return Err(CliError::BatchDrained {
-                pending: report.pending(),
-            });
-        }
-        if report.quarantined() + report.shed() > 0 {
-            return Err(CliError::BatchDegraded {
-                quarantined: report.quarantined(),
-                shed: report.shed(),
-            });
-        }
-        return Ok(());
     }
 
     let report = if flags.is_set("resume") {
@@ -1881,46 +1744,46 @@ fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
         run_batch_resumed(&jobs, &config, None)?
     };
 
-    print_batch_report(&report);
-    if report.pending() > 0 {
-        return Err(CliError::BatchDrained {
-            pending: report.pending(),
-        });
-    }
-    if report.quarantined() + report.shed() > 0 {
-        return Err(CliError::BatchDegraded {
-            quarantined: report.quarantined(),
-            shed: report.shed(),
-        });
-    }
-    Ok(())
+    finish_batch(&report)
 }
 
-/// `pcd batch JOBS.jsonl --listen ADDR --shards N --checkpoint DIR`:
-/// coordinate a multi-machine batch over TCP and seal the same
-/// `batch.manifest` a single-machine run would.
+/// `pcd batch JOBS.jsonl (--listen ADDR | --shards N) --checkpoint DIR`:
+/// coordinate the batch over TCP and seal the same `batch.manifest` a
+/// single-process run would. Without `--listen` the coordinator binds
+/// `127.0.0.1:0` and runs its N workers as local child processes.
 fn cmd_batch_coordinator(
     flags: &Flags,
-    jobs: &[pauli_codesign::supervisor::JobSpec],
+    jobs: &[JobSpec],
     config: &SupervisorConfig,
 ) -> Result<(), CliError> {
-    let listen = parse_addr(flags, "listen")?;
+    let loopback = !flags.is_set("listen");
     let opts = CoordinatorOptions {
-        listen,
+        listen: if loopback {
+            std::net::SocketAddr::from(([127, 0, 0, 1], 0))
+        } else {
+            parse_addr(flags, "listen")?
+        },
         shards: flags.get_usize("shards", 2)?,
         lease_ms: flags.get_u64("lease-ms", 500)?,
         heartbeat_ms: flags.get_u64("heartbeat-ms", 100)?,
         deadline: Duration::from_secs(flags.get_u64("net-deadline", 120)?.max(1)),
         rescue: !flags.is_set("no-rescue"),
     };
+    let shards = opts.shards;
     let coordinator = Coordinator::bind(jobs, config, opts).map_err(CliError::Remote)?;
+    let addr = coordinator.addr();
     eprintln!(
-        "pcd batch: coordinating {} job(s) as {} shard(s) on {}",
-        jobs.len(),
-        flags.get_usize("shards", 2)?,
-        coordinator.addr()
+        "pcd batch: coordinating {} job(s) as {shards} shard(s) on {addr}",
+        jobs.len()
     );
-    let report = coordinator.run().map_err(CliError::Remote)?;
+    let children = if loopback {
+        spawn_local_workers(addr, shards, config.workers)?
+    } else {
+        Vec::new()
+    };
+    let report = coordinator.run();
+    reap_local_workers(children);
+    let report = report.map_err(CliError::Remote)?;
 
     for takeover in &report.takeovers {
         println!(
@@ -1937,24 +1800,55 @@ fn cmd_batch_coordinator(
             report.deduped
         );
     }
-    let (done, quarantined, shed, pending) =
-        report
-            .records
-            .iter()
-            .fold((0, 0, 0, 0), |(d, q, s, p), r| match r.state.label() {
-                "done" => (d + 1, q, s, p),
-                "quarantined" => (d, q + 1, s, p),
-                "shed" => (d, q, s + 1, p),
-                _ => (d, q, s, p + 1),
-            });
-    println!("batch: {done} done, {quarantined} quarantined, {shed} shed, {pending} pending");
-    if pending > 0 {
-        return Err(CliError::BatchDrained { pending });
+    finish_batch(&BatchReport {
+        records: report.records,
+        batch_seed: config.batch_seed,
+    })
+}
+
+/// Spawns the loopback fleet: `count` children of this binary running
+/// `batch --connect addr --worker-id local-<k>` with `threads` worker
+/// threads each. A child whose coordinator dies exits on its own once
+/// its bounded reconnect ladder runs out.
+fn spawn_local_workers(
+    addr: std::net::SocketAddr,
+    count: usize,
+    threads: usize,
+) -> Result<Vec<Child>, CliError> {
+    let exe = std::env::current_exe()
+        .map_err(|e| CliError::Usage(format!("locating the pcd binary: {e}")))?;
+    let mut children = Vec::with_capacity(count);
+    for k in 0..count {
+        let spawned = Command::new(&exe)
+            .arg("batch")
+            .args(["--connect", &addr.to_string()])
+            .args(["--worker-id", &format!("local-{k}")])
+            .args(["--workers", &threads.to_string()])
+            .stdout(Stdio::null())
+            .spawn();
+        match spawned {
+            Ok(child) => children.push(child),
+            Err(e) => {
+                reap_local_workers(children);
+                return Err(CliError::Usage(format!("spawning local worker {k}: {e}")));
+            }
+        }
     }
-    if quarantined + shed > 0 {
-        return Err(CliError::BatchDegraded { quarantined, shed });
+    Ok(children)
+}
+
+/// Gives the local workers a moment to take their drain and exit, then
+/// kills any straggler: once the coordinator has returned, nothing a
+/// worker could still send matters.
+fn reap_local_workers(children: Vec<Child>) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    for mut child in children {
+        while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let _ = child.kill();
+        let _ = child.wait();
     }
-    Ok(())
 }
 
 /// `pcd batch --connect ADDR`: join a coordinated batch as a worker.

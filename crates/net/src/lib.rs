@@ -1,10 +1,9 @@
-//! CRC-framed TCP transport for multi-machine batches.
+//! CRC-framed TCP transport for sharded and multi-machine batches.
 //!
-//! The supervisor's shard layer (PR 7) made one batch survivable across
-//! *processes* that share a checkpoint directory. This crate removes the
-//! shared-directory assumption: a coordinator and its workers speak a
-//! small framed protocol over TCP (loopback in CI, real hosts in
-//! production), so the only thing machines share is the wire.
+//! A coordinator and its workers speak a small framed protocol over TCP
+//! (loopback for `pcd batch --shards N` on one host, real hosts with
+//! `--listen`/`--connect`), so the only thing the processes share is the
+//! wire.
 //!
 //! - **Frames** ([`frame`]) — every message travels as a length-prefixed
 //!   frame sealed with the same CRC-32 the checkpoint container uses. A
@@ -19,8 +18,9 @@
 //!   (hello/welcome/claim/grant/job-result/heartbeat/lease-renew/
 //!   ack/reject/drain) as single-line JSON payloads, mirroring the serve
 //!   protocol's one-object-per-line idiom. Job records travel as opaque
-//!   manifest-encoded JSON strings, so the supervisor's bit-exact record
-//!   encoding is reused verbatim rather than re-specified here.
+//!   manifest-encoded JSON strings, and the supervisor config as one
+//!   opaque string, so the supervisor's encodings are reused verbatim
+//!   rather than re-specified here.
 //! - **Fault proxy** ([`proxy`]) — an in-process TCP proxy that sits
 //!   between coordinator and workers and, driven by the seeded
 //!   [`resilience::FaultPlan`] sites `net.frame_write`, `net.accept`,

@@ -21,7 +21,7 @@ use obs::json::{self, JsonValue};
 
 /// Protocol version spoken by this build; a `hello` carrying any other
 /// version is rejected before anything else is trusted.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// A malformed or unexpected message payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +56,11 @@ pub enum Message {
         shards: usize,
         /// The full jobs file, JSONL (workers need global indices).
         jobs_jsonl: String,
+        /// The coordinator's supervisor knobs (retries, admission,
+        /// slicing, breaker, backoff, injection), opaque to the wire: the
+        /// supervisor encodes and decodes it, so a worker runs its
+        /// granted jobs under exactly the coordinator's configuration.
+        config_json: String,
         /// Lease duration: a shard with no heartbeat for this long is
         /// reassigned.
         lease_ms: u64,
@@ -203,6 +208,7 @@ impl Message {
                 fault_rate_bits,
                 shards,
                 jobs_jsonl,
+                config_json,
                 lease_ms,
                 heartbeat_ms,
             } => obj(vec![
@@ -211,6 +217,7 @@ impl Message {
                 ("fault_rate_bits", u64s(*fault_rate_bits)),
                 ("shards", n(*shards)),
                 ("jobs_jsonl", s(jobs_jsonl)),
+                ("config_json", s(config_json)),
                 ("lease_ms", u64s(*lease_ms)),
                 ("heartbeat_ms", u64s(*heartbeat_ms)),
             ]),
@@ -288,6 +295,7 @@ impl Message {
                 fault_rate_bits: get_u64_str(&msg, "fault_rate_bits")?,
                 shards: get_usize(&msg, "shards")?,
                 jobs_jsonl: get_str(&msg, "jobs_jsonl")?.to_string(),
+                config_json: get_str(&msg, "config_json")?.to_string(),
                 lease_ms: get_u64_str(&msg, "lease_ms")?,
                 heartbeat_ms: get_u64_str(&msg, "heartbeat_ms")?,
             }),
@@ -347,6 +355,7 @@ mod tests {
                 fault_rate_bits: 0.25f64.to_bits(),
                 shards: 3,
                 jobs_jsonl: "{\"molecule\":\"H2\"}\n".to_string(),
+                config_json: "{\"max_retries\":0}".to_string(),
                 lease_ms: 500,
                 heartbeat_ms: 100,
             },
@@ -402,6 +411,7 @@ mod tests {
             fault_rate_bits: f64::NAN.to_bits(),
             shards: 1,
             jobs_jsonl: String::new(),
+            config_json: String::new(),
             lease_ms: u64::MAX,
             heartbeat_ms: 1,
         };

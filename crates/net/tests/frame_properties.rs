@@ -25,12 +25,13 @@ fn arb_message() -> BoxedStrategy<Message> {
             worker,
             version: PROTOCOL_VERSION,
         }),
-        ((0usize..5), arb_name()).prop_map(|(shards, jobs_jsonl)| {
+        ((0usize..5), arb_name(), arb_name()).prop_map(|(shards, jobs_jsonl, config_json)| {
             Message::Welcome {
                 batch_seed: u64::MAX - shards as u64,
                 fault_rate_bits: 0.25f64.to_bits(),
                 shards: shards + 1,
                 jobs_jsonl,
+                config_json,
                 lease_ms: 500,
                 heartbeat_ms: 100,
             }

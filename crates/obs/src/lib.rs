@@ -15,9 +15,7 @@
 //! - **Histograms** — `f64` sample distributions, e.g. per-pass timings or
 //!   line-search step sizes. Fed with [`histogram_record`] into a
 //!   bounded-memory [`stream::StreamingHistogram`] (~1% relative-error
-//!   quantiles), so long batches run in O(1) telemetry memory. The
-//!   `exact-histograms` feature additionally retains raw samples for
-//!   verification in tests.
+//!   quantiles), so long batches run in O(1) telemetry memory.
 //!
 //! # Disabled fast path
 //!
@@ -601,7 +599,7 @@ pub fn export_snapshot_jsonl(snap: &Snapshot) -> String {
 /// reader — or a process killed mid-write — therefore sees either the
 /// complete old file or the complete new one, never a truncated artifact.
 /// Shared by trace export, `pcd bench` reports, the resilience checkpoint
-/// writer, and the supervisor's shard manifests and lease files.
+/// writer, and the supervisor's manifests.
 ///
 /// # Errors
 ///

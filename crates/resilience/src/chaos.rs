@@ -16,7 +16,7 @@
 //!
 //! Drivers live beside what they test: [`PipelineChaos`] (the full
 //! pipeline under a fault plan) and [`KillResume`] (checkpoint/resume
-//! bit-identity) here, the supervised, kill-shard and net drivers in
+//! bit-identity) here, the supervised and net drivers in
 //! `supervisor::chaos`, and the serve driver in `serve::chaos`.
 
 use std::collections::BTreeMap;

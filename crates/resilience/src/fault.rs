@@ -27,10 +27,6 @@ pub enum FaultKind {
     VqeObjective,
     /// Optimizer iteration budget slashed so the first attempt stalls.
     OptimizerStall,
-    /// Shard lease heartbeat write fails (disk full, permission flip).
-    /// Leases are advisory liveness signals, so the shard must survive a
-    /// failed write — count it and keep running, never abort the batch.
-    LeaseWrite,
     /// Serve result-cache seal is corrupted mid-write (torn write, disk
     /// fault). The cache is an accelerator, not a source of truth: the
     /// daemon must detect the bad seal on the next read (CRC), quarantine
@@ -58,14 +54,13 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every injection point, in a stable order.
-    pub const ALL: [FaultKind; 12] = [
+    pub const ALL: [FaultKind; 11] = [
         FaultKind::ScfConvergence,
         FaultKind::ScfEnergy,
         FaultKind::Geometry,
         FaultKind::CouplingGraph,
         FaultKind::VqeObjective,
         FaultKind::OptimizerStall,
-        FaultKind::LeaseWrite,
         FaultKind::CacheWrite,
         FaultKind::Accept,
         FaultKind::FrameWrite,
@@ -82,7 +77,6 @@ impl FaultKind {
             FaultKind::CouplingGraph => "compile.coupling_graph",
             FaultKind::VqeObjective => "vqe.objective",
             FaultKind::OptimizerStall => "vqe.optimizer_stall",
-            FaultKind::LeaseWrite => "supervisor.lease_write",
             FaultKind::CacheWrite => "serve.cache_write",
             FaultKind::Accept => "serve.accept",
             FaultKind::FrameWrite => "net.frame_write",
@@ -93,14 +87,13 @@ impl FaultKind {
 
     /// The recovery policy class responsible for this fault:
     /// `"scf_retry"`, `"compiler_fallback"`, `"vqe_restart"`,
-    /// `"lease_retry"`, `"cache_quarantine"`, `"admission_shed"`, or
+    /// `"cache_quarantine"`, `"admission_shed"`, or
     /// `"transport_retry"`.
     pub fn policy_class(self) -> &'static str {
         match self {
             FaultKind::ScfConvergence | FaultKind::ScfEnergy | FaultKind::Geometry => "scf_retry",
             FaultKind::CouplingGraph => "compiler_fallback",
             FaultKind::VqeObjective | FaultKind::OptimizerStall => "vqe_restart",
-            FaultKind::LeaseWrite => "lease_retry",
             FaultKind::CacheWrite => "cache_quarantine",
             FaultKind::Accept => "admission_shed",
             FaultKind::FrameWrite | FaultKind::NetAccept | FaultKind::Partition => {
@@ -109,6 +102,9 @@ impl FaultKind {
         }
     }
 
+    /// The site's key in the seeded draw. Index 6 belonged to a retired
+    /// site and stays unused, so every other site keeps its fault
+    /// sequence.
     fn index(self) -> usize {
         match self {
             FaultKind::ScfConvergence => 0,
@@ -117,7 +113,6 @@ impl FaultKind {
             FaultKind::CouplingGraph => 3,
             FaultKind::VqeObjective => 4,
             FaultKind::OptimizerStall => 5,
-            FaultKind::LeaseWrite => 6,
             FaultKind::CacheWrite => 7,
             FaultKind::Accept => 8,
             FaultKind::FrameWrite => 9,
@@ -157,11 +152,15 @@ pub struct InjectedFault {
 /// Number of injection sites (`FaultKind::ALL.len()`).
 const SITES: usize = FaultKind::ALL.len();
 
+/// Per-site visit counters, keyed by [`FaultKind::index`] (one slot more
+/// than there are sites: the retired index 6 keeps its slot).
+const SLOTS: usize = SITES + 1;
+
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     fault_rate: f64,
-    visits: [u64; SITES],
+    visits: [u64; SLOTS],
     injected: Vec<InjectedFault>,
 }
 
@@ -188,7 +187,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             fault_rate: rate,
-            visits: [0; SITES],
+            visits: [0; SLOTS],
             injected: Vec::new(),
         }
     }
@@ -334,8 +333,8 @@ mod tests {
         let mut plan = FaultPlan::new(5, 0.5);
         let mut seq: Vec<Vec<bool>> = vec![Vec::new(); SITES];
         for _ in 0..64 {
-            for kind in FaultKind::ALL {
-                seq[kind.index()].push(plan.should_inject(kind));
+            for (site, kind) in FaultKind::ALL.into_iter().enumerate() {
+                seq[site].push(plan.should_inject(kind));
             }
         }
         for i in 0..SITES {

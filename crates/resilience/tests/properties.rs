@@ -16,7 +16,6 @@ fn site_sequence() -> impl Strategy<Value = Vec<FaultKind>> {
             Just(FaultKind::CouplingGraph),
             Just(FaultKind::VqeObjective),
             Just(FaultKind::OptimizerStall),
-            Just(FaultKind::LeaseWrite),
         ],
         1..200,
     )

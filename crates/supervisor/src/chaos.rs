@@ -1,6 +1,5 @@
 //! The supervisor's chaos drivers, run by
-//! [`resilience::chaos::Campaign`]. One [`BatchChaos`] configures all
-//! three:
+//! [`resilience::chaos::Campaign`]. One [`BatchChaos`] configures both:
 //!
 //! - **Supervised** ([`BatchChaos::supervised_trial`]): a whole batch
 //!   under injected panics, hangs, and transients. No job is lost or
@@ -9,18 +8,12 @@
 //!   worker count yields bit-identical records. A batch drained after a
 //!   few budget slices and resumed from its manifest reproduces the
 //!   uninterrupted batch bit-for-bit.
-//! - **Kill-shard** ([`BatchChaos::kill_shard_trial`]): real `pcd batch
-//!   --shard-id` subprocesses over a shared checkpoint directory, one
-//!   SIGKILLed mid-run. The survivors' takeover sweep (or an in-process
-//!   rescue re-run) plus a merge must seal a manifest bit-identical to
-//!   the 1-shard reference.
 //! - **Net** ([`BatchChaos::net_trial`]): real `pcd batch --connect`
 //!   workers reach an in-process coordinator through a seeded
 //!   [`net::FaultProxy`], and one is SIGKILLed while it holds a grant.
-//!   The coordinator's sealed manifest must equal the reference.
-//!
-//! The kill-shard and net drivers share the in-process reference-manifest
-//! oracle ([`Reference`]) and one spawn/kill/wait fleet helper.
+//!   The coordinator's sealed manifest must equal the in-process
+//!   reference ([`Reference`]). At `net_fault_rate: 0` the proxy passes
+//!   every frame through, which leaves the kill-a-fleet-member check.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -34,24 +27,20 @@ use resilience::Checkpoint;
 
 use crate::engine::{run_batch, run_batch_resumed, InjectionPlan, SupervisorConfig};
 use crate::job::{JobRecord, JobSpec};
-use crate::lease::Lease;
 use crate::manifest::{decode_manifest, encode_manifest, BatchMeta};
-use crate::merge::merge_shards;
 use crate::queue::ShedPolicy;
 use crate::remote::{Coordinator, CoordinatorOptions};
-use crate::shard::{decode_shard_manifest, job_shard, run_shard, shard_manifest_path, ShardSpec};
 use crate::splitmix64;
 
-/// Knobs the supervisor's three campaign drivers share.
+/// Knobs the supervisor's two campaign drivers share.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchChaos {
     /// Jobs per trial batch.
     pub jobs: usize,
     /// Worker threads per supervisor: the in-process batch (supervised)
-    /// or each fleet process (kill-shard, net).
+    /// or each fleet process (net).
     pub workers: usize,
-    /// Fleet processes per trial: shards (kill-shard) or TCP workers
-    /// (net).
+    /// TCP worker processes per net trial.
     pub fleet: usize,
     /// Injection rate for panics, hangs, and transients.
     pub fault_rate: f64,
@@ -59,9 +48,8 @@ pub struct BatchChaos {
     pub net_fault_rate: f64,
     /// The `pcd` binary fleets are spawned from.
     pub pcd_exe: PathBuf,
-    /// When set, supervised and kill-shard trials arm the flight
-    /// recorder here, so quarantines, takeovers, and injected faults
-    /// dump `flight-<job>.jsonl` rings.
+    /// When set, supervised trials arm the flight recorder here, so
+    /// quarantines and injected faults dump `flight-<job>.jsonl` rings.
     pub flight_dir: Option<PathBuf>,
 }
 
@@ -189,9 +177,8 @@ impl BatchChaos {
         }
     }
 
-    /// The config `pcd batch` builds from the flags a fleet is spawned
-    /// with, so the in-process reference and rescue runs share the
-    /// determinism keys with the fleet.
+    /// The config a net trial's coordinator and its in-process reference
+    /// both run under (the workers receive it in the welcome).
     fn fleet_config(&self, batch_seed: u64) -> SupervisorConfig {
         SupervisorConfig {
             workers: self.workers.max(1),
@@ -204,133 +191,6 @@ impl BatchChaos {
             },
             ..SupervisorConfig::default()
         }
-    }
-
-    /// One kill-shard trial: launches `fleet` real `pcd batch --shard-id`
-    /// subprocesses over `scratch/ckpt`, SIGKILLs a seeded victim as soon
-    /// as its lease appears, lets the survivors' takeover sweep (or an
-    /// in-process rescue re-run) absorb the orphaned jobs, merges, and
-    /// checks the sealed manifest against the 1-shard reference — no job
-    /// lost, duplicated, or silently degraded.
-    pub fn kill_shard_trial(&self, batch_seed: u64, scratch: &Path) -> Outcome {
-        let mut outcome = Outcome::default();
-        if let Err(v) = self.kill_shard(batch_seed, scratch, &mut outcome) {
-            outcome.violations.push(v);
-        }
-        outcome
-    }
-
-    fn kill_shard(
-        &self,
-        batch_seed: u64,
-        scratch: &Path,
-        outcome: &mut Outcome,
-    ) -> Result<(), String> {
-        let jobs = trial_jobs(self.jobs.max(1));
-        let shards = self.fleet.max(1);
-        let victim = (splitmix64(batch_seed ^ 0xDEAD) % shards as u64) as usize;
-        let jobs_path = scratch.join("jobs.jsonl");
-        let text: String = jobs.iter().map(|j| j.to_json_line() + "\n").collect();
-        std::fs::write(&jobs_path, text).map_err(|e| format!("jobs file: {e}"))?;
-        let config = self.fleet_config(batch_seed);
-        let reference = Reference::of(&jobs, &config)?;
-
-        let dir = scratch.join("ckpt");
-        let lease_path = Lease::path(&dir, victim);
-        let (_, killed_mid_run) = self.run_fleet(
-            shards,
-            victim,
-            Duration::from_secs(30),
-            || lease_path.exists(),
-            |shard_id, cmd| {
-                cmd.arg("batch")
-                    .arg(&jobs_path)
-                    .args(["--workers", &self.workers.to_string()])
-                    .args(["--seed", &batch_seed.to_string()])
-                    .args(["--shards", &shards.to_string()])
-                    .args(["--shard-id", &shard_id.to_string()])
-                    .arg("--checkpoint")
-                    .arg(&dir);
-                if self.fault_rate > 0.0 {
-                    cmd.args(["--fault-rate", &self.fault_rate.to_string()]);
-                }
-                if let Some(flight) = &self.flight_dir {
-                    cmd.arg("--flight-dir").arg(flight);
-                }
-            },
-        )?;
-        outcome.add("killed_mid_run", usize::from(killed_mid_run));
-
-        // First merge: survivors may already have absorbed the victim via
-        // their takeover sweep.
-        let first = merge_shards(&dir, &jobs).map_err(|e| format!("first merge: {e}"))?;
-
-        // Rescue path: whatever is still missing or pending belongs to
-        // shards nobody finished — re-run them in-process (`run_shard`
-        // takes the dead lease over) and merge again. This is the
-        // "re-run takeover" flow a human operator would use.
-        let mut rescue_shards: Vec<usize> = first
-            .missing
-            .iter()
-            .copied()
-            .chain(
-                first
-                    .records
-                    .iter()
-                    .filter(|r| !r.state.is_terminal())
-                    .map(|r| r.index),
-            )
-            .map(|i| job_shard(i, shards))
-            .collect();
-        rescue_shards.sort_unstable();
-        rescue_shards.dedup();
-        let merged = if rescue_shards.is_empty() {
-            first
-        } else {
-            outcome.add("rescued", 1);
-            let rescue_config = SupervisorConfig {
-                ckpt_dir: Some(dir.clone()),
-                flight_dir: self.flight_dir.clone(),
-                ..config
-            };
-            for shard_id in rescue_shards {
-                run_shard(&jobs, &rescue_config, ShardSpec { shards, shard_id })
-                    .map_err(|e| format!("rescue of shard {shard_id}: {e}"))?;
-            }
-            merge_shards(&dir, &jobs).map_err(|e| format!("post-rescue merge: {e}"))?
-        };
-        let takeovers = merged.takeovers().count();
-        outcome.add("takeovers", takeovers);
-
-        reference.check(
-            outcome,
-            "merged batch",
-            merged.records.len(),
-            &merged.sealed,
-        );
-        if !merged.complete() {
-            outcome
-                .violations
-                .push("merged batch left jobs missing or pending".to_string());
-        }
-        if killed_mid_run && !merged.quarantined.is_empty() {
-            // A torn victim manifest is quarantined, then the rescue
-            // re-seals it — informational, not a violation.
-            obs::counter_add("supervisor.kill_shard_torn_manifests", 1);
-        }
-        // A mid-run kill must show as a takeover in the lineage, unless
-        // the victim raced past the lease poll and sealed its own
-        // manifest anyway.
-        let victim_sealed = Checkpoint::read(shard_manifest_path(&dir, victim))
-            .ok()
-            .and_then(|ck| decode_shard_manifest(&ck).ok())
-            .is_some_and(|(meta, _)| meta.taken_over_from.is_none());
-        if killed_mid_run && takeovers == 0 && !victim_sealed {
-            outcome.violations.push(format!(
-                "victim shard {victim} was killed mid-run but no takeover is recorded"
-            ));
-        }
-        Ok(())
     }
 
     /// One net trial: binds an in-process coordinator, stands a
@@ -448,8 +308,15 @@ impl BatchChaos {
                 }
             }
         }
+        // Stop polling once the victim has exited on its own: it can no
+        // longer be caught mid-run, and waiting out `wait` only idles.
         let deadline = Instant::now() + wait;
-        while !mid_run() && Instant::now() < deadline {
+        while !mid_run()
+            && Instant::now() < deadline
+            && children
+                .get_mut(victim)
+                .is_some_and(|child| matches!(child.try_wait(), Ok(None)))
+        {
             std::thread::sleep(Duration::from_millis(5));
         }
         if let Some(child) = children.get_mut(victim) {

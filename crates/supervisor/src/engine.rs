@@ -57,9 +57,6 @@ use crate::splitmix64;
 pub enum SupervisorError {
     /// A bad jobs file or configuration.
     Spec(String),
-    /// Another live process holds the shard's lease (or already claimed
-    /// the epoch we tried to acquire) — contention, not misuse.
-    LeaseHeld(String),
     /// Filesystem I/O on the checkpoint directory or manifest.
     Io {
         /// Path involved.
@@ -78,7 +75,6 @@ impl std::fmt::Display for SupervisorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SupervisorError::Spec(msg) => write!(f, "batch spec: {msg}"),
-            SupervisorError::LeaseHeld(msg) => write!(f, "shard lease held: {msg}"),
             SupervisorError::Io { path, message } => {
                 write!(f, "batch I/O on {path}: {message}")
             }
@@ -360,17 +356,17 @@ pub fn run_batch_resumed(
     Ok(report)
 }
 
-/// The shared execution core under [`run_batch_resumed`] and the shard
-/// runner ([`crate::shard::run_shard`]): runs the job indices in
-/// `scope_indices` (`None` = all of them) and returns their records, in
-/// ascending index order, *without* writing any manifest.
+/// The shared execution core under [`run_batch_resumed`] and the
+/// coordinator's workers and rescue ([`crate::remote`]): runs the job
+/// indices in `scope_indices` (`None` = all of them) and returns their
+/// records, in ascending index order, *without* writing any manifest.
 ///
-/// `prior` may be sparse here (a shard manifest carries only its own
-/// partition); records are matched by their global index. Admission
-/// control is always evaluated over the *full* arrival order — which jobs
-/// are shed is a batch-level decision every shard replays identically —
-/// but shed obs events fire only on fresh runs, never when replaying a
-/// prior decision.
+/// `prior` may be sparse here (a shard carries only its own partition);
+/// records are matched by their global index. Admission control is
+/// always evaluated over the *full* arrival order — which jobs are shed
+/// is a batch-level decision every shard replays identically — but shed
+/// obs events fire only on fresh runs, never when replaying a prior
+/// decision.
 pub(crate) fn run_scoped(
     jobs: &[JobSpec],
     config: &SupervisorConfig,

@@ -36,13 +36,16 @@
 //! hangs, and transient faults.
 //!
 //! Determinism is also what makes the batch **horizontally shardable**
-//! ([`shard`], [`lease`], [`merge`]): `--shards N --shard-id K` splits a
-//! batch across processes by `index % N`, each shard heartbeats a lease
-//! and seals its own CRC-guarded manifest, a surviving sibling (or a
-//! re-run) takes over a dead shard's slice by claiming its lease epoch,
-//! and `pcd batch merge` unions the shard manifests into a sealed
-//! `batch.manifest` that is bit-identical to a 1-shard run's — takeover
-//! provenance recorded beside it in `merge.lineage`, never inside it.
+//! over one protocol ([`remote`], [`shard`], [`merge`]): a coordinator
+//! splits the batch by `index % N`, grants shards to TCP workers under
+//! monotonic lease epochs, re-grants a silent worker's shard at the next
+//! epoch (or finishes it in-process when the whole fleet is gone), seals
+//! one CRC-guarded manifest per shard, and merges them into a sealed
+//! `batch.manifest` that is bit-identical to a single-process run's —
+//! takeover provenance recorded beside it in `merge.lineage`, never
+//! inside it. `pcd batch --shards N` is that coordinator on loopback
+//! with N local worker processes; `--listen`/`--connect` spread it over
+//! machines.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -51,7 +54,6 @@ pub mod breaker;
 pub mod chaos;
 pub mod engine;
 pub mod job;
-pub mod lease;
 pub mod manifest;
 pub mod merge;
 pub mod progress;
@@ -66,7 +68,6 @@ pub use engine::{
     run_batch, run_batch_resumed, BatchReport, InjectionPlan, SupervisorConfig, SupervisorError,
 };
 pub use job::{attempt_seed, job_seed, parse_jobs, JobRecord, JobSpec, JobState};
-pub use lease::{classify, local_host, try_claim, Lease, LeaseHealth, LeaseKeeper, STALE_AFTER};
 pub use manifest::{decode_manifest, encode_manifest, BatchMeta, KIND_BATCH_MANIFEST};
 pub use merge::{merge_shards, MergeError, MergeOutcome, ShardLineage, KIND_MERGE_LINEAGE};
 pub use progress::{ProgressSnapshot, ProgressTracker};
@@ -76,9 +77,8 @@ pub use remote::{
     CoordinatorReport, CoordinatorWatch, RemoteError, RemoteTakeover, WorkerOptions, WorkerReport,
 };
 pub use shard::{
-    decode_shard_manifest, encode_shard_manifest, job_shard, run_shard, shard_indices,
-    shard_manifest_path, ShardMeta, ShardRunReport, ShardSpec, TakeoverOutcome,
-    KIND_SHARD_MANIFEST,
+    decode_shard_manifest, encode_shard_manifest, job_shard, shard_indices, shard_manifest_path,
+    ShardMeta, ShardSpec, KIND_SHARD_MANIFEST,
 };
 
 /// The workspace's one SplitMix64 mixer (see [`resilience::splitmix64`]).

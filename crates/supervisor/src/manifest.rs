@@ -9,12 +9,16 @@
 //! encode round-trip preserves every record to the last bit.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use obs::json::JsonValue;
 use resilience::checkpoint::{f64_from_hex, f64_to_hex};
 use resilience::{Checkpoint, CheckpointError};
 
+use crate::backoff::BackoffPolicy;
+use crate::engine::{InjectionPlan, SupervisorConfig};
 use crate::job::{JobRecord, JobState};
+use crate::queue::ShedPolicy;
 
 /// Checkpoint kind tag for batch manifests.
 pub const KIND_BATCH_MANIFEST: &str = "batch-manifest";
@@ -273,6 +277,84 @@ pub fn decode_manifest(ck: &Checkpoint) -> Result<(BatchMeta, Vec<JobRecord>), C
     Ok((meta, records))
 }
 
+/// Encodes the supervisor knobs a coordinator ships to its workers in
+/// the `welcome` (opaque to the wire, like the jobs file): retries,
+/// admission, slicing, breaker, backoff, and injection. A job record
+/// depends on these as much as on the batch seed, so a worker that ran
+/// with defaults instead would seal different records.
+///
+/// Per-process knobs (worker threads, drain triggers, directories,
+/// progress) stay local and are not encoded; the batch seed and fault
+/// rate travel in their own `welcome` fields.
+pub fn encode_config(config: &SupervisorConfig) -> String {
+    let mut fields = vec![
+        ("max_retries", num(config.max_retries)),
+        ("queue_cap", num(config.queue_cap)),
+        ("shed", string(config.shed.name())),
+        ("slice_ticks", string(&config.slice_ticks.to_string())),
+        ("max_slices", num(config.max_slices)),
+        ("breaker_threshold", num(config.breaker_threshold)),
+        (
+            "backoff_base_ms",
+            string(&config.backoff.base_ms.to_string()),
+        ),
+        ("backoff_factor", string(&f64_to_hex(config.backoff.factor))),
+        ("backoff_cap_ms", string(&config.backoff.cap_ms.to_string())),
+        ("backoff_jitter", string(&f64_to_hex(config.backoff.jitter))),
+        ("injection_rate", string(&f64_to_hex(config.injection.rate))),
+        ("inject_panics", JsonValue::Bool(config.injection.panics)),
+        ("inject_hangs", JsonValue::Bool(config.injection.hangs)),
+        (
+            "inject_transients",
+            JsonValue::Bool(config.injection.transients),
+        ),
+    ];
+    if let Some(wall) = config.slice_wall {
+        let nanos = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+        fields.push(("slice_wall_ns", string(&nanos.to_string())));
+    }
+    obj(fields).to_string()
+}
+
+/// Decodes [`encode_config`]'s text onto [`SupervisorConfig::default`]
+/// (the fields it does not carry keep their defaults).
+///
+/// # Errors
+///
+/// [`CheckpointError::Malformed`] on non-JSON text or a missing or
+/// mistyped field.
+pub fn decode_config(text: &str) -> Result<SupervisorConfig, CheckpointError> {
+    let value = obs::json::parse(text)
+        .map_err(|e| CheckpointError::Malformed(format!("config: not JSON: {e}")))?;
+    let shed = ShedPolicy::parse(get_str(&value, "shed")?).map_err(CheckpointError::Malformed)?;
+    let slice_wall = match value.get("slice_wall_ns") {
+        Some(_) => Some(Duration::from_nanos(get_u64_str(&value, "slice_wall_ns")?)),
+        None => None,
+    };
+    Ok(SupervisorConfig {
+        max_retries: get_usize(&value, "max_retries")?,
+        queue_cap: get_usize(&value, "queue_cap")?,
+        shed,
+        slice_ticks: get_u64_str(&value, "slice_ticks")?,
+        slice_wall,
+        max_slices: get_usize(&value, "max_slices")?,
+        breaker_threshold: get_usize(&value, "breaker_threshold")?,
+        backoff: BackoffPolicy {
+            base_ms: get_u64_str(&value, "backoff_base_ms")?,
+            factor: f64_from_hex(get_str(&value, "backoff_factor")?)?,
+            cap_ms: get_u64_str(&value, "backoff_cap_ms")?,
+            jitter: f64_from_hex(get_str(&value, "backoff_jitter")?)?,
+        },
+        injection: InjectionPlan {
+            rate: f64_from_hex(get_str(&value, "injection_rate")?)?,
+            panics: get_bool(&value, "inject_panics")?,
+            hangs: get_bool(&value, "inject_hangs")?,
+            transients: get_bool(&value, "inject_transients")?,
+        },
+        ..SupervisorConfig::default()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,5 +443,37 @@ mod tests {
         records.swap(0, 2);
         let ck = encode_manifest(&meta(), &records);
         assert!(decode_manifest(&ck).is_err());
+    }
+
+    #[test]
+    fn config_round_trips_every_shipped_knob() {
+        let config = SupervisorConfig {
+            max_retries: 0,
+            queue_cap: 3,
+            shed: ShedPolicy::DropOldest,
+            slice_ticks: u64::MAX - 5, // would shear as a JSON number
+            slice_wall: Some(Duration::from_millis(1500)),
+            max_slices: 7,
+            breaker_threshold: 1,
+            backoff: BackoffPolicy {
+                base_ms: 12,
+                factor: 1.5,
+                cap_ms: 900,
+                jitter: 0.1,
+            },
+            injection: InjectionPlan {
+                rate: 0.3,
+                panics: true,
+                hangs: false,
+                transients: true,
+            },
+            ..SupervisorConfig::default()
+        };
+        let back = decode_config(&encode_config(&config)).unwrap();
+        assert_eq!(back, config);
+        let plain = SupervisorConfig::default();
+        assert_eq!(decode_config(&encode_config(&plain)).unwrap(), plain);
+        assert!(decode_config("{\"max_retries\":1}").is_err());
+        assert!(decode_config("not json").is_err());
     }
 }

@@ -5,9 +5,9 @@
 //! by global job index and the output encoder sorts by it, so merging any
 //! permutation of shard manifests — any number of times — seals the
 //! byte-identical manifest. Combined with per-job determinism this yields
-//! the equivalence guarantee `pcd chaos --kill-shard` asserts: a sharded
-//! run (with kills and takeovers) merges to the *bit-identical* manifest
-//! of a 1-shard run.
+//! the equivalence guarantee `pcd chaos --net` asserts: a coordinated
+//! run (with kills, takeovers, and rescues) merges to the
+//! *bit-identical* manifest of a single-process run.
 //!
 //! Failure handling mirrors the supervisor's philosophy:
 //!

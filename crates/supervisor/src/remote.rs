@@ -1,39 +1,40 @@
-//! True multi-machine sharding: a coordinator/worker protocol over TCP.
+//! The one multi-process protocol: a coordinator/worker batch over TCP.
 //!
-//! The shard layer ([`crate::shard`]) assumes every process shares one
-//! checkpoint directory — liveness is a lease file, takeover is a claim
-//! token. This module removes that assumption: only the **coordinator**
-//! touches the checkpoint directory; workers hold nothing but a socket.
+//! Only the **coordinator** touches the checkpoint directory; workers
+//! hold nothing but a socket. `pcd batch --listen ADDR` runs a
+//! coordinator for workers on other machines; `pcd batch --shards N`
+//! on one host is the same coordinator on `127.0.0.1:0` with N local
+//! `pcd batch --connect` children.
 //!
-//! - The coordinator owns the jobs file, the batch identity, and every
-//!   lease. Workers [`net::message::Message::Claim`] shards and are
-//!   granted them under **monotonic epochs**; a worker that stops
-//!   heartbeating for the lease interval is presumed dead and its shard
-//!   is re-granted at `epoch + 1` to the next claimant (the wire twin of
-//!   [`crate::lease::try_claim`]'s epoch tokens). Pid and mtime
-//!   liveness fallbacks are never consulted — they are meaningless
-//!   across machines.
+//! - The coordinator owns the jobs file, the batch identity, the
+//!   supervisor configuration, and every lease. Workers learn all of it
+//!   from the [`net::message::Message::Welcome`], then
+//!   [`net::message::Message::Claim`] shards and are granted them under
+//!   **monotonic epochs**; a worker that stops heartbeating for the lease
+//!   interval is presumed dead and its shard is re-granted at
+//!   `epoch + 1` to the next claimant. Pid and mtime liveness are never
+//!   consulted — they are meaningless across machines.
 //! - Delivery is **at-least-once with content-keyed dedup**: workers
 //!   resend every record of the active shard after a reconnect, and the
 //!   coordinator collapses bit-identical duplicates (counting them) while
 //!   rejecting divergent ones — the determinism contract (a record is a
-//!   pure function of `(batch_seed, index, spec)`) is what makes blind
-//!   resend safe.
+//!   pure function of `(batch_seed, index, spec, config)`) is what makes
+//!   blind resend safe.
 //! - Worker reconnects reuse the supervisor's seeded
 //!   [`BackoffPolicy`](crate::backoff::BackoffPolicy): the retry
 //!   schedule is a pure function of `(worker id, attempt)` and replays
-//!   bit-for-bit.
+//!   bit-for-bit. The ladder is bounded, so a worker whose coordinator
+//!   died exits on its own.
 //! - Degradation is graceful on both ends: a worker that exhausts its
 //!   transport budget mid-shard seals what it has as a local
 //!   `shard-<id>.manifest.partial` (same CRC-sealed codec, a name the
 //!   merge scan ignores) and exits resumable; a coordinator that loses
-//!   every worker rescues unfinished shards in-process, exactly like the
-//!   re-run takeover flow a human operator would perform.
+//!   every worker rescues unfinished shards in-process.
 //!
-//! After the last job lands the coordinator seals one ordinary
-//! `shard-<id>.manifest` per shard and reuses [`crate::merge`] verbatim,
-//! so a multi-machine batch's `batch.manifest` is bit-identical to a
-//! single-machine run's.
+//! After the last job lands the coordinator seals one
+//! `shard-<id>.manifest` per shard ([`crate::shard`]) and merges them
+//! with [`crate::merge`], so a multi-process batch's `batch.manifest` is
+//! bit-identical to a single-process run's.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -45,16 +46,20 @@ use std::time::{Duration, Instant};
 use net::{read_frame, write_frame, Message, PROTOCOL_VERSION};
 
 use crate::backoff::BackoffPolicy;
-use crate::engine::{run_scoped, InjectionPlan, SupervisorConfig, SupervisorError};
+use crate::engine::{run_scoped, SupervisorConfig, SupervisorError};
 use crate::job::{parse_jobs, JobRecord, JobSpec};
-use crate::manifest::{decode_record_sparse, encode_record, BatchMeta};
-use crate::merge::merge_shards;
+use crate::manifest::{
+    decode_config, decode_record_sparse, encode_config, encode_record, BatchMeta,
+};
+use crate::merge::{merge_shards, MergeError};
 use crate::shard::{encode_shard_manifest, shard_indices, ShardMeta, ShardSpec};
 use crate::splitmix64;
 
 /// A remote-batch failure, split by exit taxonomy: transport exhaustion
 /// is resumable (exit 36), a protocol mismatch is operator error
-/// (exit 37), everything else is the usual supervisor failure.
+/// (exit 37), a failed merge of the sealed shard manifests is a
+/// determinism or batch-identity violation (exit 33), everything else is
+/// the usual supervisor failure.
 #[derive(Debug)]
 pub enum RemoteError {
     /// The transport died and the retry budget ran out. Partial progress
@@ -63,6 +68,9 @@ pub enum RemoteError {
     /// The peer speaks a different protocol (version skew, wrong batch,
     /// or a reply that makes no sense at this point in the exchange).
     Protocol(String),
+    /// The coordinator could not merge the shard manifests it sealed
+    /// (a record conflict, or a foreign shard manifest in the directory).
+    Merge(MergeError),
     /// A local supervisor failure while running granted jobs.
     Supervisor(SupervisorError),
 }
@@ -72,6 +80,7 @@ impl std::fmt::Display for RemoteError {
         match self {
             RemoteError::TransportLost(msg) => write!(f, "transport lost: {msg}"),
             RemoteError::Protocol(msg) => write!(f, "protocol mismatch: {msg}"),
+            RemoteError::Merge(e) => write!(f, "{e}"),
             RemoteError::Supervisor(e) => write!(f, "{e}"),
         }
     }
@@ -196,6 +205,7 @@ impl CoordState {
 struct CoordCtx {
     state: Mutex<CoordState>,
     jobs_jsonl: String,
+    config_json: String,
     n_jobs: usize,
     batch_seed: u64,
     fault_rate: f64,
@@ -303,6 +313,7 @@ impl Coordinator {
                 draining: false,
             }),
             jobs_jsonl,
+            config_json: encode_config(config),
             n_jobs: jobs.len(),
             batch_seed: config.batch_seed,
             fault_rate: config.pipeline_fault_rate,
@@ -461,8 +472,8 @@ impl Coordinator {
         Ok(rescued)
     }
 
-    /// Seals one manifest per shard and merges — the exact same path a
-    /// directory-sharing batch takes, so the sealed bytes are identical.
+    /// Seals one manifest per shard and merges them, so the sealed
+    /// `batch.manifest` bytes equal a single-process run's.
     fn seal(&self, rescued: Vec<usize>) -> Result<CoordinatorReport, RemoteError> {
         let meta = BatchMeta {
             batch_seed: self.config.batch_seed,
@@ -491,8 +502,7 @@ impl Coordinator {
             }
             (state.takeovers.clone(), state.deduped)
         };
-        let merged = merge_shards(&self.dir, &self.jobs)
-            .map_err(|e| RemoteError::Supervisor(SupervisorError::Spec(format!("merge: {e}"))))?;
+        let merged = merge_shards(&self.dir, &self.jobs).map_err(RemoteError::Merge)?;
         Ok(CoordinatorReport {
             records: merged.records,
             sealed: merged.sealed,
@@ -566,6 +576,7 @@ fn respond(msg: Message, ctx: &Arc<CoordCtx>) -> Message {
                 fault_rate_bits: ctx.fault_rate.to_bits(),
                 shards: ctx.shards,
                 jobs_jsonl: ctx.jobs_jsonl.clone(),
+                config_json: ctx.config_json.clone(),
                 lease_ms: ctx.lease_ms,
                 heartbeat_ms: ctx.heartbeat_ms,
             }
@@ -845,6 +856,7 @@ fn parse_welcome(welcome: Message, opts: &WorkerOptions) -> Result<WelcomeInfo, 
         fault_rate_bits,
         shards,
         jobs_jsonl,
+        config_json,
         heartbeat_ms,
         ..
     } = welcome
@@ -853,17 +865,13 @@ fn parse_welcome(welcome: Message, opts: &WorkerOptions) -> Result<WelcomeInfo, 
     };
     let jobs = parse_jobs(&jobs_jsonl)
         .map_err(|e| RemoteError::Protocol(format!("jobs in welcome: {e}")))?;
-    let fault_rate = f64::from_bits(fault_rate_bits);
+    let shipped = decode_config(&config_json)
+        .map_err(|e| RemoteError::Protocol(format!("config in welcome: {e}")))?;
     let config = SupervisorConfig {
         workers: opts.threads.max(1),
         batch_seed,
-        pipeline_fault_rate: fault_rate,
-        injection: if fault_rate > 0.0 {
-            InjectionPlan::chaos(fault_rate)
-        } else {
-            InjectionPlan::none()
-        },
-        ..SupervisorConfig::default()
+        pipeline_fault_rate: f64::from_bits(fault_rate_bits),
+        ..shipped
     };
     Ok(WelcomeInfo {
         jobs,
@@ -1159,7 +1167,7 @@ fn seal_partial(
 mod tests {
     use super::*;
     use crate::chaos::trial_jobs;
-    use crate::engine::run_batch;
+    use crate::engine::{run_batch, InjectionPlan};
     use crate::manifest::encode_manifest;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -1237,6 +1245,79 @@ mod tests {
         assert_eq!(report.records.len(), jobs.len());
         assert!(report.rescued.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `jobs` through a coordinator and `workers` in-process worker
+    /// threads over loopback, returning the coordinator's report.
+    fn run_over_loopback(
+        jobs: &[JobSpec],
+        config: &SupervisorConfig,
+        shards: usize,
+        workers: usize,
+    ) -> CoordinatorReport {
+        let coordinator = Coordinator::bind(
+            jobs,
+            config,
+            CoordinatorOptions {
+                shards,
+                ..CoordinatorOptions::default()
+            },
+        )
+        .unwrap();
+        let addr = coordinator.addr();
+        let coord = std::thread::spawn(move || coordinator.run());
+        let handles: Vec<_> = (0..workers)
+            .map(|i| {
+                let opts = worker_opts(addr, &format!("w{i}"));
+                std::thread::spawn(move || run_worker(&opts))
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap().unwrap();
+        }
+        coord.join().unwrap().unwrap()
+    }
+
+    #[test]
+    fn workers_run_under_the_coordinators_config() {
+        // Both configs change the records relative to the defaults: a
+        // queue cap of 3 sheds half of the 6 jobs, and without retries a
+        // 30 % injection rate quarantines jobs the default budget of 3
+        // retries would have recovered. A worker that fell back to
+        // `SupervisorConfig::default()` seals different bytes.
+        let jobs = trial_jobs(6);
+        for (tag, config) in [
+            (
+                "queue-cap",
+                SupervisorConfig {
+                    queue_cap: 3,
+                    ..SupervisorConfig::default()
+                },
+            ),
+            (
+                "no-retries",
+                SupervisorConfig {
+                    max_retries: 0,
+                    pipeline_fault_rate: 0.3,
+                    injection: InjectionPlan::chaos(0.3),
+                    ..SupervisorConfig::default()
+                },
+            ),
+        ] {
+            let dir = scratch(tag);
+            let config = SupervisorConfig {
+                batch_seed: 19,
+                ckpt_dir: Some(dir.join("ckpt")),
+                ..config
+            };
+            let expected = reference_bytes(&jobs, &config);
+            let report = run_over_loopback(&jobs, &config, 2, 2);
+            assert_eq!(
+                report.sealed, expected,
+                "{tag}: workers must seal the single-process manifest"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1,50 +1,42 @@
-//! Horizontal batch sharding: deterministic job→shard assignment, CRC-
-//! sealed per-shard manifests, and orphan takeover.
+//! Horizontal batch sharding: the deterministic job→shard partition and
+//! the CRC-sealed per-shard manifest codec.
 //!
-//! A shard is one process running the subset of a batch's jobs whose
-//! index satisfies `index % shards == shard_id`. Because every job's
-//! outcome is a pure function of `(batch_seed, index, spec)` — never of
-//! which process ran it — any process can execute any job and produce the
-//! bit-identical record. That is the safety argument for takeover: when a
-//! shard dies mid-run (detected through its [lease](crate::lease)), a
-//! surviving sibling or a re-run claims the next lease epoch and runs the
-//! dead shard's unfinished jobs; even a *duplicated* execution merges
-//! cleanly because both copies of a record are equal.
+//! A shard is the subset of a batch's jobs whose index satisfies
+//! `index % shards == shard_id`. Because every job's outcome is a pure
+//! function of `(batch_seed, index, spec, config)` — never of which
+//! process ran it — any worker can execute any shard and produce the
+//! bit-identical records. That is the safety argument for the
+//! coordinator's takeover ([`crate::remote`]): a shard re-granted past a
+//! dead worker, or rescued in-process, merges cleanly even when both
+//! copies of a record arrive, because they are equal.
 //!
-//! Each shard seals `shard-<id>.manifest` — the same record codec as the
-//! batch manifest, but carrying a sparse, ascending set of *global* job
-//! indices plus shard lineage (owner, lease epoch, takeover provenance)
-//! in the header. [`crate::merge`] unions these back into a standard
-//! `batch.manifest` that is bit-identical to a 1-shard run's.
+//! The coordinator seals `shard-<id>.manifest` per shard — the same
+//! record codec as the batch manifest, but carrying a sparse, ascending
+//! set of *global* job indices plus lineage (owner, lease epoch,
+//! takeover provenance) in the header. [`crate::merge`] unions these
+//! back into a standard `batch.manifest` that is bit-identical to a
+//! single-process run's.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 use obs::json::JsonValue;
-use resilience::{Checkpoint, CheckpointError, FaultPlan};
+use resilience::{Checkpoint, CheckpointError};
 
-use crate::engine::{run_scoped, SupervisorConfig, SupervisorError};
-use crate::job::{JobRecord, JobSpec};
-use crate::lease::{classify, try_claim, Lease, LeaseHealth, LeaseKeeper, STALE_AFTER};
+use crate::job::JobRecord;
 use crate::manifest::{
     decode_record_sparse, encode_record, get_str, get_u64_str, get_usize, num, obj, string,
     BatchMeta,
 };
-use crate::splitmix64;
 
 /// Checkpoint kind tag for per-shard manifests.
 pub const KIND_SHARD_MANIFEST: &str = "shard-manifest";
 
-/// How often a running shard heartbeats its lease.
-const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Which slice of a batch one process runs.
+/// Which slice of a batch one worker runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Total number of shards the batch is split into (≥ 1).
     pub shards: usize,
-    /// This process's shard id in `0..shards`.
+    /// The shard's id in `0..shards`.
     pub shard_id: usize,
 }
 
@@ -53,14 +45,14 @@ impl ShardSpec {
     ///
     /// # Errors
     ///
-    /// A usage message when `shards` is zero or `shard_id` out of range.
+    /// A message when `shards` is zero or `shard_id` out of range.
     pub fn validate(&self) -> Result<(), String> {
         if self.shards == 0 {
-            return Err("--shards must be at least 1".to_string());
+            return Err("a batch needs at least 1 shard".to_string());
         }
         if self.shard_id >= self.shards {
             return Err(format!(
-                "--shard-id {} out of range for --shards {}",
+                "shard {} out of range for {} shards",
                 self.shard_id, self.shards
             ));
         }
@@ -69,8 +61,8 @@ impl ShardSpec {
 }
 
 /// Deterministic job→shard assignment: round-robin over arrival order, so
-/// every shard (and the merge) computes the same partition with no
-/// coordination.
+/// the coordinator, every worker, and the merge compute the same
+/// partition.
 pub fn job_shard(index: usize, shards: usize) -> usize {
     index % shards.max(1)
 }
@@ -98,12 +90,13 @@ pub struct ShardMeta {
     pub shards: usize,
     /// Which shard this manifest covers.
     pub shard_id: usize,
-    /// Owner descriptor (`pid:<pid>/<nonce>`) of the sealing process.
+    /// Owner of the shard's last grant (a worker id, or
+    /// `net:coordinator` for an in-process rescue).
     pub owner: String,
-    /// Lease epoch the manifest was sealed under.
+    /// Lease epoch of that grant.
     pub epoch: u64,
-    /// Owner the sealing process took this shard over from, when the
-    /// previous owner died mid-run.
+    /// Owner the shard was taken over from, when the previous owner died
+    /// mid-run.
     pub taken_over_from: Option<String>,
 }
 
@@ -171,12 +164,12 @@ pub fn decode_shard_manifest(
             .and_then(JsonValue::as_str)
             .map(str::to_string),
     };
-    if meta.shards == 0 || meta.shard_id >= meta.shards {
-        return Err(CheckpointError::Malformed(format!(
-            "shard manifest: shard {}/{} is not a valid assignment",
-            meta.shard_id, meta.shards
-        )));
+    ShardSpec {
+        shards: meta.shards,
+        shard_id: meta.shard_id,
     }
+    .validate()
+    .map_err(|e| CheckpointError::Malformed(format!("shard manifest: {e}")))?;
     let declared = get_usize(header, "records")?;
     let lines = &ck.payload[1..];
     if lines.len() != declared {
@@ -211,381 +204,6 @@ pub fn decode_shard_manifest(
         records.push(record);
     }
     Ok((meta, records))
-}
-
-/// One takeover performed during a shard run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TakeoverOutcome {
-    /// The shard taken over.
-    pub shard_id: usize,
-    /// Owner descriptor of the dead process.
-    pub from: String,
-    /// Lease epoch the takeover ran under.
-    pub epoch: u64,
-    /// Records produced (or re-sealed) for the taken-over shard.
-    pub records: Vec<JobRecord>,
-}
-
-/// What one `run_shard` call accomplished: the shard's own records plus
-/// any takeovers of dead siblings it performed after finishing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardRunReport {
-    /// This process's shard id.
-    pub shard_id: usize,
-    /// Total shard count of the run.
-    pub shards: usize,
-    /// Lease epoch this run acquired.
-    pub epoch: u64,
-    /// Dead owner this run took its *own* shard over from (a re-run after
-    /// a crash), when there was one.
-    pub taken_over_from: Option<String>,
-    /// Records of the shard's own partition, ascending global indices.
-    pub records: Vec<JobRecord>,
-    /// Sibling takeovers performed after the own partition finished.
-    pub takeovers: Vec<TakeoverOutcome>,
-}
-
-impl ShardRunReport {
-    /// Every record this run produced (own partition + takeovers).
-    pub fn all_records(&self) -> impl Iterator<Item = &JobRecord> {
-        self.records
-            .iter()
-            .chain(self.takeovers.iter().flat_map(|t| t.records.iter()))
-    }
-
-    fn count(&self, label: &str) -> usize {
-        self.all_records()
-            .filter(|r| r.state.label() == label)
-            .count()
-    }
-
-    /// Jobs left pending (drained) across own + taken-over records.
-    pub fn pending(&self) -> usize {
-        self.count("pending")
-    }
-
-    /// Jobs quarantined across own + taken-over records.
-    pub fn quarantined(&self) -> usize {
-        self.count("quarantined")
-    }
-
-    /// Jobs shed across own + taken-over records.
-    pub fn shed(&self) -> usize {
-        self.count("shed")
-    }
-
-    /// Jobs done across own + taken-over records.
-    pub fn done(&self) -> usize {
-        self.count("done")
-    }
-}
-
-/// The batch identity this config implies for `jobs`.
-fn batch_meta(jobs: &[JobSpec], config: &SupervisorConfig) -> BatchMeta {
-    BatchMeta {
-        batch_seed: config.batch_seed,
-        jobs: jobs.len(),
-        pipeline_fault_rate: config.pipeline_fault_rate,
-    }
-}
-
-/// Reads a shard's prior manifest for resume, if one exists and belongs
-/// to this batch. A missing or corrupt manifest is a fresh start (the
-/// takeover rewrites it); a manifest from a *different* batch is an
-/// error — silently clobbering someone else's records would lose data.
-fn read_shard_prior(
-    dir: &Path,
-    shard_id: usize,
-    shards: usize,
-    expect: &BatchMeta,
-) -> Result<Option<Vec<JobRecord>>, SupervisorError> {
-    let path = shard_manifest_path(dir, shard_id);
-    if !path.exists() {
-        return Ok(None);
-    }
-    let Ok(ck) = Checkpoint::read(&path) else {
-        return Ok(None); // torn mid-write by the dead shard
-    };
-    let Ok((meta, records)) = decode_shard_manifest(&ck) else {
-        return Ok(None);
-    };
-    if meta.batch != *expect || meta.shards != shards || meta.shard_id != shard_id {
-        return Err(SupervisorError::ManifestMismatch(format!(
-            "shard manifest {} belongs to a different batch (seed {} jobs {} shards {})",
-            path.display(),
-            meta.batch.batch_seed,
-            meta.batch.jobs,
-            meta.shards
-        )));
-    }
-    Ok(Some(records))
-}
-
-/// Seals one shard manifest via the checkpoint writer (atomic rename).
-fn write_shard_manifest(
-    dir: &Path,
-    meta: &ShardMeta,
-    records: &[JobRecord],
-) -> Result<(), SupervisorError> {
-    encode_shard_manifest(meta, records)
-        .write(shard_manifest_path(dir, meta.shard_id))
-        .map_err(SupervisorError::from)
-}
-
-fn note_takeover(config: &SupervisorConfig, shard_id: usize, from: &str, epoch: u64) {
-    obs::counter_add("supervisor.takeovers", 1);
-    obs::event!(
-        "supervisor.takeover",
-        shard = shard_id,
-        from = from,
-        epoch = epoch
-    );
-    if let Some(flight_dir) = &config.flight_dir {
-        let _ = std::fs::create_dir_all(flight_dir);
-        let _ = obs::flight::dump(flight_dir, &format!("shard{shard_id}"), "takeover");
-    }
-}
-
-/// Runs one shard of a batch: acquires the shard's lease (taking over
-/// from a dead prior owner if necessary), heartbeats it for the duration,
-/// executes the shard's partition (resuming from a prior shard manifest
-/// when one exists), seals `shard-<id>.manifest`, and then sweeps sibling
-/// leases — any dead sibling is claimed, its unfinished jobs run, and its
-/// manifest re-sealed, so a batch survives the death of entire shards.
-///
-/// Requires `config.ckpt_dir` (manifests and leases live there).
-///
-/// # Errors
-///
-/// [`SupervisorError::LeaseHeld`] when a live process owns the shard,
-/// otherwise as [`crate::engine::run_batch`].
-pub fn run_shard(
-    jobs: &[JobSpec],
-    config: &SupervisorConfig,
-    spec: ShardSpec,
-) -> Result<ShardRunReport, SupervisorError> {
-    spec.validate().map_err(SupervisorError::Spec)?;
-    let Some(dir) = config.ckpt_dir.clone() else {
-        return Err(SupervisorError::Spec(
-            "sharded batches need --checkpoint (manifests and leases live there)".to_string(),
-        ));
-    };
-    std::fs::create_dir_all(&dir).map_err(|e| SupervisorError::Io {
-        path: dir.display().to_string(),
-        message: e.to_string(),
-    })?;
-    let expect = batch_meta(jobs, config);
-
-    // Acquire our own lease: epoch 0 fresh, prior epoch + 1 otherwise.
-    // The epoch-named claim token arbitrates against concurrent siblings
-    // and re-runs; losing it means someone else is (or was first to be)
-    // responsible for this shard at this epoch.
-    let (mut epoch, mut taken_over_from) = match classify(&dir, spec.shard_id, STALE_AFTER) {
-        LeaseHealth::Missing => (0, None),
-        LeaseHealth::Done(prev) => (prev.epoch + 1, None),
-        LeaseHealth::Dead(prev) => (prev.epoch + 1, Some(prev.owner())),
-        LeaseHealth::Alive(prev) => {
-            return Err(SupervisorError::LeaseHeld(format!(
-                "shard {} is running as {} (epoch {})",
-                spec.shard_id,
-                prev.owner(),
-                prev.epoch
-            )));
-        }
-    };
-    // A failed claim usually means a live racer — but it can also be the
-    // wreckage of a claimant that died *between* claiming the token and
-    // writing its first lease (claim file present, lease still missing).
-    // Re-classify: a live owner ends the attempt, anything else advances
-    // the epoch past the orphaned token. Bounded so a pathological racer
-    // cannot spin us forever.
-    let mut claim_attempts = 0usize;
-    loop {
-        if try_claim(&dir, spec.shard_id, epoch).map_err(|e| SupervisorError::Io {
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        })? {
-            break;
-        }
-        claim_attempts += 1;
-        if claim_attempts > 64 {
-            return Err(SupervisorError::LeaseHeld(format!(
-                "shard {} claim contention did not settle after {claim_attempts} epochs",
-                spec.shard_id
-            )));
-        }
-        match classify(&dir, spec.shard_id, STALE_AFTER) {
-            LeaseHealth::Alive(prev) => {
-                return Err(SupervisorError::LeaseHeld(format!(
-                    "shard {} is running as {} (epoch {})",
-                    spec.shard_id,
-                    prev.owner(),
-                    prev.epoch
-                )));
-            }
-            LeaseHealth::Done(prev) => {
-                epoch = (epoch + 1).max(prev.epoch + 1);
-                taken_over_from = None;
-            }
-            LeaseHealth::Dead(prev) => {
-                epoch = (epoch + 1).max(prev.epoch + 1);
-                taken_over_from = Some(prev.owner());
-            }
-            LeaseHealth::Missing => epoch += 1,
-        }
-    }
-
-    let prior = read_shard_prior(&dir, spec.shard_id, spec.shards, &expect)?;
-    let (pid, nonce) = crate::lease::new_owner(spec.shard_id);
-    // The lease fault plan is deliberately separate from the pipeline
-    // plan: heartbeat cadence is wall-clock, so its draw count varies
-    // run-to-run, and it must never perturb job-record determinism.
-    let lease_plan = FaultPlan::new(
-        splitmix64(config.batch_seed ^ (spec.shard_id as u64).wrapping_add(0x1EA5E)),
-        config.injection.rate,
-    );
-    let keeper = LeaseKeeper::new(
-        &dir,
-        Lease {
-            shard_id: spec.shard_id,
-            owner_pid: pid,
-            host: crate::lease::local_host(),
-            owner_nonce: nonce,
-            epoch,
-            beats: 0,
-            done: false,
-            taken_over_from: taken_over_from.clone(),
-        },
-        lease_plan,
-    );
-    if let Some(from) = &taken_over_from {
-        // A re-run resurrecting its own dead shard is a takeover too.
-        note_takeover(config, spec.shard_id, from, epoch);
-    }
-    obs::counter_add("supervisor.shards", 1);
-
-    let owned = shard_indices(jobs.len(), &spec);
-    let stop = AtomicBool::new(false);
-    let result: Result<ShardRunReport, SupervisorError> = std::thread::scope(|scope| {
-        let keeper_ref = &keeper;
-        let stop_ref = &stop;
-        scope.spawn(move || {
-            while !stop_ref.load(Ordering::Relaxed) {
-                std::thread::sleep(HEARTBEAT_INTERVAL);
-                if stop_ref.load(Ordering::Relaxed) {
-                    break;
-                }
-                keeper_ref.beat();
-            }
-        });
-        let run = || -> Result<ShardRunReport, SupervisorError> {
-            let records = run_scoped(jobs, config, prior.as_deref(), Some(&owned))?;
-            write_shard_manifest(
-                &dir,
-                &ShardMeta {
-                    batch: expect,
-                    shards: spec.shards,
-                    shard_id: spec.shard_id,
-                    owner: keeper.lease().owner(),
-                    epoch,
-                    taken_over_from: taken_over_from.clone(),
-                },
-                &records,
-            )?;
-
-            // Takeover sweep: after our own partition is sealed, adopt any
-            // sibling whose owner died mid-run. Loop until a full pass
-            // finds nothing dead, so cascading deaths are all absorbed.
-            let mut takeovers = Vec::new();
-            loop {
-                let mut progressed = false;
-                for sibling in (0..spec.shards).filter(|&s| s != spec.shard_id) {
-                    let LeaseHealth::Dead(dead) = classify(&dir, sibling, STALE_AFTER) else {
-                        continue;
-                    };
-                    let sib_epoch = dead.epoch + 1;
-                    match try_claim(&dir, sibling, sib_epoch) {
-                        Ok(true) => {}
-                        Ok(false) => continue, // another survivor won
-                        Err(e) => {
-                            return Err(SupervisorError::Io {
-                                path: dir.display().to_string(),
-                                message: e.to_string(),
-                            })
-                        }
-                    }
-                    progressed = true;
-                    let from = dead.owner();
-                    note_takeover(config, sibling, &from, sib_epoch);
-                    // Mark the adopted shard as ours (our pid carries the
-                    // liveness signal) before running its jobs.
-                    let (sib_pid, sib_nonce) = crate::lease::new_owner(sibling);
-                    let sib_keeper = LeaseKeeper::new(
-                        &dir,
-                        Lease {
-                            shard_id: sibling,
-                            owner_pid: sib_pid,
-                            host: crate::lease::local_host(),
-                            owner_nonce: sib_nonce,
-                            epoch: sib_epoch,
-                            beats: 0,
-                            done: false,
-                            taken_over_from: Some(from.clone()),
-                        },
-                        FaultPlan::none(),
-                    );
-                    let sib_spec = ShardSpec {
-                        shards: spec.shards,
-                        shard_id: sibling,
-                    };
-                    let sib_prior = read_shard_prior(&dir, sibling, spec.shards, &expect)?;
-                    let sib_owned = shard_indices(jobs.len(), &sib_spec);
-                    let sib_records =
-                        run_scoped(jobs, config, sib_prior.as_deref(), Some(&sib_owned))?;
-                    write_shard_manifest(
-                        &dir,
-                        &ShardMeta {
-                            batch: expect,
-                            shards: spec.shards,
-                            shard_id: sibling,
-                            owner: sib_keeper.lease().owner(),
-                            epoch: sib_epoch,
-                            taken_over_from: Some(from.clone()),
-                        },
-                        &sib_records,
-                    )?;
-                    sib_keeper.mark_done();
-                    takeovers.push(TakeoverOutcome {
-                        shard_id: sibling,
-                        from,
-                        epoch: sib_epoch,
-                        records: sib_records,
-                    });
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            Ok(ShardRunReport {
-                shard_id: spec.shard_id,
-                shards: spec.shards,
-                epoch,
-                taken_over_from: taken_over_from.clone(),
-                records,
-                takeovers,
-            })
-        };
-        let out = run();
-        stop.store(true, Ordering::Relaxed);
-        out
-    });
-    if result.is_ok() {
-        keeper.mark_done();
-    }
-    // On error the lease stays `running`; once this process exits the
-    // lease reads as dead and the shard is up for takeover — exactly
-    // right for a failed run.
-    result
 }
 
 #[cfg(test)]

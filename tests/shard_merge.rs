@@ -1,6 +1,8 @@
-//! Shard-fault-tolerance integration: sharded runs merge bit-identically
-//! to 1-shard runs, dead shards are taken over, and the merge is
-//! idempotent and commutative over shard counts (property-tested).
+//! Sharded-batch integration: a coordinated run over loopback merges
+//! bit-identically to a single-process run, its shard manifests and
+//! lineage feed `pcd report`, and the merge is idempotent and commutative
+//! over shard counts (property-tested). Worker takeover and in-process
+//! rescue are covered by the `supervisor::remote` unit tests.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -8,9 +10,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use pauli_codesign::chem::Benchmark;
 use pauli_codesign::report::{classify as classify_artifact, Artifact, ReportBuilder};
 use pauli_codesign::supervisor::{
-    encode_manifest, encode_shard_manifest, local_host, merge_shards, run_batch, run_shard,
-    shard_manifest_path, BatchMeta, JobRecord, JobSpec, JobState, Lease, ShardMeta, ShardSpec,
-    SupervisorConfig,
+    encode_manifest, encode_shard_manifest, merge_shards, run_batch, run_worker,
+    shard_manifest_path, BatchMeta, Coordinator, CoordinatorOptions, CoordinatorReport, JobRecord,
+    JobSpec, JobState, ShardMeta, SupervisorConfig, WorkerOptions,
 };
 use proptest::prelude::*;
 
@@ -130,7 +132,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Real-pipeline equivalence and takeover.
+// Real-pipeline equivalence over the coordinator.
 // ---------------------------------------------------------------------------
 
 fn config(batch_seed: u64, ckpt: Option<PathBuf>) -> SupervisorConfig {
@@ -151,151 +153,57 @@ fn reference_bytes(specs: &[JobSpec], batch_seed: u64) -> Vec<u8> {
     encode_manifest(&meta, &report.records).to_bytes()
 }
 
+/// Runs `specs` as `shards` shards: a coordinator on an ephemeral
+/// loopback port plus one in-process worker thread per shard, sealing
+/// into `dir`.
+fn run_coordinated(
+    specs: &[JobSpec],
+    batch_seed: u64,
+    shards: usize,
+    dir: &Path,
+) -> CoordinatorReport {
+    let coordinator = Coordinator::bind(
+        specs,
+        &config(batch_seed, Some(dir.to_path_buf())),
+        CoordinatorOptions {
+            shards,
+            ..CoordinatorOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = coordinator.addr();
+    let coord = std::thread::spawn(move || coordinator.run());
+    let workers: Vec<_> = (0..shards)
+        .map(|k| {
+            let opts = WorkerOptions {
+                connect: addr,
+                worker_id: format!("local-{k}"),
+                ..WorkerOptions::default()
+            };
+            std::thread::spawn(move || run_worker(&opts))
+        })
+        .collect();
+    for worker in workers {
+        worker.join().unwrap().unwrap();
+    }
+    coord.join().unwrap().unwrap()
+}
+
 #[test]
 fn two_shard_run_merges_bit_identically_to_one_shard_reference() {
     let specs = jobs(5);
     let reference = reference_bytes(&specs, 11);
     let dir = scratch("twoshards");
-    for shard_id in 0..2 {
-        let report = run_shard(
-            &specs,
-            &config(11, Some(dir.clone())),
-            ShardSpec {
-                shards: 2,
-                shard_id,
-            },
-        )
-        .unwrap();
-        assert_eq!(report.pending(), 0, "shard {shard_id} left pending jobs");
-        assert!(report.taken_over_from.is_none());
-    }
-    let outcome = merge_shards(&dir, &specs).unwrap();
-    assert!(outcome.complete());
-    assert_eq!(outcome.takeovers().count(), 0);
+    let report = run_coordinated(&specs, 11, 2, &dir);
+    assert!(report.takeovers.is_empty() && report.rescued.is_empty());
     assert_eq!(
-        outcome.sealed, reference,
+        report.sealed, reference,
         "merged manifest differs from the 1-shard reference"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[cfg(unix)]
-#[test]
-fn survivor_takes_over_dead_shard_and_merge_matches_reference() {
-    let specs = jobs(4);
-    let reference = reference_bytes(&specs, 23);
-    let dir = scratch("takeover");
-    // Fixture: shard 1 "died" mid-run — its lease names a pid that cannot
-    // exist, and no manifest was sealed.
-    let dead = Lease {
-        shard_id: 1,
-        owner_pid: u32::MAX - 1,
-        owner_nonce: 0x2a,
-        epoch: 0,
-        beats: 3,
-        done: false,
-        taken_over_from: None,
-        host: local_host(),
-    };
-    std::fs::write(Lease::path(&dir, 1), dead.to_json()).unwrap();
-
-    // Shard 0 runs its own partition, then its sweep adopts shard 1.
-    let report = run_shard(
-        &specs,
-        &config(23, Some(dir.clone())),
-        ShardSpec {
-            shards: 2,
-            shard_id: 0,
-        },
-    )
-    .unwrap();
     assert_eq!(
-        report.takeovers.len(),
-        1,
-        "sweep did not adopt the dead shard"
-    );
-    assert_eq!(report.takeovers[0].shard_id, 1);
-    assert_eq!(report.takeovers[0].from, dead.owner());
-    assert_eq!(report.takeovers[0].epoch, 1);
-
-    let outcome = merge_shards(&dir, &specs).unwrap();
-    assert!(outcome.complete());
-    let takeovers: Vec<_> = outcome.takeovers().collect();
-    assert_eq!(takeovers.len(), 1, "takeover not visible in merged lineage");
-    assert_eq!(takeovers[0].shard_id, 1);
-    assert_eq!(
-        takeovers[0].taken_over_from.as_deref(),
-        Some("pid:4294967294/0000002a")
-    );
-    assert_eq!(
-        outcome.sealed, reference,
-        "post-takeover merge differs from the 1-shard reference"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[cfg(unix)]
-#[test]
-fn rerun_of_dead_shard_resumes_and_records_takeover() {
-    let specs = jobs(3);
-    let dir = scratch("rerun");
-    let dead = Lease {
-        shard_id: 0,
-        owner_pid: u32::MAX - 1,
-        owner_nonce: 0x99,
-        epoch: 4,
-        beats: 17,
-        done: false,
-        taken_over_from: None,
-        host: local_host(),
-    };
-    std::fs::write(Lease::path(&dir, 0), dead.to_json()).unwrap();
-    // Re-running the same shard id claims epoch 5 and records provenance.
-    let report = run_shard(
-        &specs,
-        &config(31, Some(dir.clone())),
-        ShardSpec {
-            shards: 3,
-            shard_id: 0,
-        },
-    )
-    .unwrap();
-    assert_eq!(report.epoch, 5);
-    assert_eq!(
-        report.taken_over_from.as_deref(),
-        Some("pid:4294967294/00000099")
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn live_lease_blocks_a_second_claimant() {
-    let specs = jobs(2);
-    let dir = scratch("held");
-    // A lease owned by *this* process is alive by definition.
-    let alive = Lease {
-        shard_id: 0,
-        owner_pid: std::process::id(),
-        owner_nonce: 1,
-        epoch: 0,
-        beats: 1,
-        done: false,
-        taken_over_from: None,
-        host: local_host(),
-    };
-    std::fs::write(Lease::path(&dir, 0), alive.to_json()).unwrap();
-    let err = run_shard(
-        &specs,
-        &config(5, Some(dir.clone())),
-        ShardSpec {
-            shards: 2,
-            shard_id: 0,
-        },
-    )
-    .unwrap_err();
-    assert!(
-        err.to_string().contains("lease held"),
-        "expected a lease-held error, got: {err}"
+        std::fs::read(dir.join("batch.manifest")).unwrap(),
+        reference,
+        "sealed file differs from the reported bytes"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -308,18 +216,7 @@ fn live_lease_blocks_a_second_claimant() {
 fn report_classifies_shard_manifests_and_lineage() {
     let specs = jobs(4);
     let dir = scratch("report");
-    for shard_id in 0..2 {
-        run_shard(
-            &specs,
-            &config(13, Some(dir.clone())),
-            ShardSpec {
-                shards: 2,
-                shard_id,
-            },
-        )
-        .unwrap();
-    }
-    merge_shards(&dir, &specs).unwrap();
+    run_coordinated(&specs, 13, 2, &dir);
 
     let shard_text = std::fs::read_to_string(shard_manifest_path(&dir, 0)).unwrap();
     let artifact = classify_artifact(&shard_text).unwrap();
